@@ -51,12 +51,6 @@ __all__ = [
     "NotMember",
     "decide",
     "verify_witness",
-    "strip_infinite",
-    "normalize_and_partition",
-    "attach_unknowns",
-    "build_forms",
-    "solve_and_sweep",
-    "reconstruct_witness",
     "regrid_instance",
     "permute_columns",
     "regrid_point",

@@ -1,24 +1,31 @@
-"""Exact linear algebra over an abstract field.
+"""Exact linear algebra: one fraction-free elimination kernel, used twice.
 
-Used twice: over the series scalars for the main row reduction, and over
-plain Fractions for the rational coefficient system.  Elements only need
-the four arithmetic operators, truthiness as the nonzero test, and
-equality; scalars that expose ``valuation``/``term_count`` get a pivot
-rule tuned to keep downstream expansion orders small.
-
-The elimination itself runs fraction-free (cross-multiplied updates with
-exact division by the previous pivot) so that over polynomial-like
-entries no per-operation gcd reduction is needed; correctness does not
-depend on the divisions being exact, since every operation is ordinary
-field arithmetic.
+The kernel is Gauss-Jordan elimination in the style of Bareiss
+("Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968): cross-multiplied row updates over an
+integral domain, each divided exactly by the previous pivot.  It runs on
+Python ints for the rational coefficient system, after each row is
+cleared to integers, and on Laurent polynomials for the series system,
+after each row is cleared of its denominators.  Correctness requires every
+division to be exact: `laurent_divexact` raises ArithmeticError
+otherwise.  When elimination ends, every pivot row carries the same pivot
+D, so each reduced entry is N/D, built once as a Fraction or a
+PuiseuxFraction.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from troplift.series import laurent_divexact, laurent_gcd
+from troplift.series import (
+    LaurentPolynomial,
+    PuiseuxFraction,
+    laurent_divexact,
+    laurent_gcd,
+)
 
 __all__ = [
     "Matrix",
@@ -57,12 +64,6 @@ class Matrix:
 
     def __getitem__(self, i):
         return self.rows[i]
-
-    def column(self, j):
-        return tuple(r[j] for r in self.rows)
-
-    def transpose(self):
-        return Matrix.from_rows(zip(*self.rows)) if self.rows else Matrix(())
 
 
 @dataclass(frozen=True)
@@ -111,10 +112,6 @@ class LinearForm:
         return cls(Fraction(constant), items)
 
     @property
-    def is_constant(self):
-        return not self.coeffs
-
-    @property
     def is_zero_form(self):
         return not self.coeffs and not self.constant
 
@@ -131,101 +128,123 @@ class LinearForm:
         return acc
 
 
-def _pivot_key(x):
-    # smallest |valuation| first to keep expansion orders near zero, then
-    # sparsest entry to limit fill-in; plain Fractions compare equal here
-    val = getattr(x, "valuation", None)
-    v = val() if callable(val) else 0
-    return (abs(v), getattr(x, "term_count", 1))
+def _bareiss(rows, ncols, key, divexact):
+    """Fraction-free Gauss-Jordan elimination of augmented rows, in place.
 
-
-def _clear_denominators(row, rhs):
-    """Scale a row of series scalars so every entry is polynomial."""
-    dens = [x.den for x in row if not x.den.is_one]
-    if not rhs.den.is_one:
-        dens.append(rhs.den)
-    if not dens:
-        return row, rhs
-    common = dens[0]
-    for d in dens[1:]:
-        common = laurent_divexact(common, laurent_gcd(common, d)) * d
-    scale = type(rhs)(common)
-    return [x * scale for x in row], rhs * scale
-
-
-def rref_solve(matrix, rhs):
-    """Reduce the augmented system (matrix | rhs) to pivot-normalized form.
-
-    Inconsistency is reported through the `consistent` flag, never raised.
+    Each row holds `ncols` coefficients followed by its right-hand side,
+    all in an integral domain.  The pivot is the nonzero coefficient with
+    the smallest (key(x), column, row) among the rows not used yet.  Every
+    update (piv*a - f*b) / prev is exact, because each entry is a minor of
+    the input (Sylvester's identity), and `divexact` must return that
+    exact quotient.  Returns the pivot columns.  Afterwards row i carries
+    the common pivot D in column pivot_cols[i] and zero in every other
+    pivot column, and the rows past the rank are zero but for their
+    right-hand sides.
     """
-    if isinstance(matrix, Matrix):
-        rows = [list(r) for r in matrix.rows]
-    else:
-        rows = [list(r) for r in matrix]
-    rhs = list(rhs)
     m = len(rows)
-    n = len(rows[0]) if rows else 0
-    if len(rhs) != m:
-        raise ValueError("rhs length does not match row count")
-
-    if n and hasattr(rows[0][0], "den"):
-        for i in range(m):
-            rows[i], rhs[i] = _clear_denominators(rows[i], rhs[i])
-
     pivot_cols = []
     prev = None
-    for _ in range(min(m, n)):
-        rank = len(pivot_cols)
+    for rank in range(min(m, ncols)):
         best = None
-        for c in range(n):
+        for c in range(ncols):
             if c in pivot_cols:
                 continue
             for r in range(rank, m):
                 x = rows[r][c]
                 if x:
-                    key = _pivot_key(x) + (c, r)
-                    if best is None or key < best[0]:
-                        best = (key, r, c)
+                    k = (key(x), c, r)
+                    if best is None or k < best:
+                        best = k
         if best is None:
             break
-        _, r, c = best
+        _, c, r = best
         rows[rank], rows[r] = rows[r], rows[rank]
-        rhs[rank], rhs[r] = rhs[r], rhs[rank]
-        piv = rows[rank][c]
-        if prev is None:
-            prev = piv / piv  # the field's one
-        prow, prhs = rows[rank], rhs[rank]
-        for r in range(m):
-            if r == rank:
+        prow = rows[rank]
+        piv = prow[c]
+        for i, row in enumerate(rows):
+            if i == rank:
                 continue
-            row = rows[r]
             f = row[c]
-            if f:
-                for j in range(n):
-                    row[j] = (piv * row[j] - f * prow[j]) / prev
-                rhs[r] = (piv * rhs[r] - f * prhs) / prev
-            else:
-                for j in range(n):
-                    row[j] = (piv * row[j]) / prev
-                rhs[r] = (piv * rhs[r]) / prev
+            new = ([piv * a - f * b for a, b in zip(row, prow)] if f
+                   else [piv * a for a in row])
+            rows[i] = new if prev is None else [divexact(x, prev) if x else x
+                                                for x in new]
         prev = piv
         pivot_cols.append(c)
+    return pivot_cols
 
+
+def _nullspace(n, pivot_cols, neg_entry, zero, one):
+    """Kernel basis of a reduced system, one vector per free column f.
+
+    The vector holds one at f, neg_entry(i, f) at the pivot column of
+    pivot row i, and zero elsewhere.
+    """
+    basis = []
+    for f in range(n):
+        if f in pivot_cols:
+            continue
+        vec = [zero] * n
+        vec[f] = one
+        for i, c in enumerate(pivot_cols):
+            vec[c] = neg_entry(i, f)
+        basis.append(tuple(vec))
+    return basis
+
+
+def _poly_key(p):
+    # smallest |valuation| first to keep expansion orders near zero, then
+    # sparsest entry to limit fill-in
+    return abs(p.valuation()), len(p.coeffs)
+
+
+def _clear_denominators(row, rhs):
+    """Numerators of an augmented row of series scalars times their lcm."""
+    entries = [*row, rhs]
+    dens = [x.den for x in entries if not x.den.is_one]
+    if not dens:
+        return [x.num for x in entries]
+    common = dens[0]
+    for d in dens[1:]:
+        common = laurent_divexact(common, laurent_gcd(common, d)) * d
+    return [x.num * (common if x.den.is_one
+                     else laurent_divexact(common, x.den))
+            for x in entries]
+
+
+def _integer_row(row, rhs):
+    """An augmented row of rationals times the lcm of its denominators."""
+    entries = [*row, rhs]
+    scale = math.lcm(*(x.denominator for x in entries))
+    return [x.numerator * (scale // x.denominator) for x in entries]
+
+
+def rref_solve(matrix, rhs):
+    """Reduce the augmented system (matrix | rhs) of series scalars.
+
+    Inconsistency is reported through the `consistent` flag, never raised.
+    """
+    rows = matrix.rows if isinstance(matrix, Matrix) else matrix
+    rhs = list(rhs)
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    if len(rhs) != m:
+        raise ValueError("rhs length does not match row count")
+    polys = [_clear_denominators(row, b) for row, b in zip(rows, rhs)]
+    pivot_cols = _bareiss(polys, n, _poly_key, laurent_divexact)
     rank = len(pivot_cols)
-    for i, c in enumerate(pivot_cols):
-        piv = rows[i][c]
-        rows[i] = [x / piv for x in rows[i]]
-        rhs[i] = rhs[i] / piv
-    consistent = all(not rhs[r] for r in range(rank, m))
-
-    free_cols = tuple(c for c in range(n) if c not in pivot_cols)
+    d = polys[0][pivot_cols[0]] if rank else LaurentPolynomial.one()
+    # past the rank only the right-hand side can be nonzero, and only its
+    # being nonzero matters, so those rows skip the division by d
+    reduced = ([[PuiseuxFraction(x, d) for x in row] for row in polys[:rank]]
+               + [[PuiseuxFraction(x) for x in row] for row in polys[rank:]])
     return RrefResult(
-        matrix=Matrix.from_rows(rows),
-        rhs=tuple(rhs),
+        matrix=Matrix.from_rows([row[:n] for row in reduced]),
+        rhs=tuple(row[n] for row in reduced),
         pivot_cols=tuple(pivot_cols),
-        free_cols=free_cols,
+        free_cols=tuple(c for c in range(n) if c not in pivot_cols),
         rank=rank,
-        consistent=consistent,
+        consistent=not any(row[n] for row in polys[rank:]),
     )
 
 
@@ -235,11 +254,10 @@ def solve_affine(matrix, rhs, ncols=None):
     Accepts a (possibly empty) list of coefficient rows; an empty
     constraint list leaves the whole space of dimension ``ncols``.
     """
-    if isinstance(matrix, Matrix):
-        rows = [list(r) for r in matrix.rows]
-    else:
-        rows = [list(r) for r in matrix]
+    rows = matrix.rows if isinstance(matrix, Matrix) else matrix
     rhs = list(rhs)
+    if len(rhs) != len(rows):
+        raise ValueError("rhs length does not match row count")
     if not rows:
         if ncols is None:
             raise ValueError("empty system needs an explicit column count")
@@ -247,24 +265,18 @@ def solve_affine(matrix, rhs, ncols=None):
     n = len(rows[0])
     if ncols is not None and ncols != n:
         raise ValueError("declared column count does not match rows")
-    if n == 0:
-        if any(rhs):
-            return None
-        return AffineSpace(offset=(), basis=(), dim=0)
-    red = rref_solve(rows, rhs)
-    if not red.consistent:
+    ints = [_integer_row(row, b) for row, b in zip(rows, rhs)]
+    # every nonzero integer is an equally good pivot
+    pivot_cols = _bareiss(ints, n, lambda x: 0, operator.floordiv)
+    rank = len(pivot_cols)
+    if any(row[n] for row in ints[rank:]):
         return None
-    zero = Fraction(0)
-    offset = [zero] * n
-    for i, c in enumerate(red.pivot_cols):
-        offset[c] = red.rhs[i]
-    basis = []
-    for f in red.free_cols:
-        vec = [zero] * n
-        vec[f] = Fraction(1)
-        for i, c in enumerate(red.pivot_cols):
-            vec[c] = -red.matrix[i][f]
-        basis.append(tuple(vec))
+    d = ints[0][pivot_cols[0]] if rank else 1
+    offset = [Fraction(0)] * n
+    for c, row in zip(pivot_cols, ints):
+        offset[c] = Fraction(row[n], d)
+    basis = _nullspace(n, pivot_cols, lambda i, f: Fraction(-ints[i][f], d),
+                       Fraction(0), Fraction(1))
     return AffineSpace(offset=tuple(offset), basis=tuple(basis),
                        dim=len(basis))
 
@@ -272,42 +284,25 @@ def solve_affine(matrix, rhs, ncols=None):
 def whole_space(n):
     """The full rational affine space of dimension n."""
     zero = Fraction(0)
-    offset = tuple([zero] * n)
-    basis = []
-    for f in range(n):
-        vec = [zero] * n
-        vec[f] = Fraction(1)
-        basis.append(tuple(vec))
-    return AffineSpace(offset=offset, basis=tuple(basis), dim=n)
+    basis = _nullspace(n, (), None, zero, Fraction(1))
+    return AffineSpace(offset=(zero,) * n, basis=tuple(basis), dim=n)
 
 
 def kernel_basis(matrix, one, ncols=None):
-    """Basis of the right kernel of a matrix over an arbitrary field.
+    """Basis of the right kernel of a matrix of series scalars.
 
-    ``one`` must be the field's multiplicative identity (needed to build
+    ``one`` must be the scalars' multiplicative identity (needed to build
     unit vectors when the matrix imposes no constraint on a column).
     """
-    rows = [list(r) for r in (matrix.rows if isinstance(matrix, Matrix) else matrix)]
+    rows = matrix.rows if isinstance(matrix, Matrix) else matrix
     zero = one - one
     if not rows:
         if ncols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        basis = []
-        for f in range(ncols):
-            vec = [zero] * ncols
-            vec[f] = one
-            basis.append(tuple(vec))
-        return basis
-    n = len(rows[0])
+        return _nullspace(ncols, (), None, zero, one)
     red = rref_solve(rows, [zero] * len(rows))
-    basis = []
-    for f in red.free_cols:
-        vec = [zero] * n
-        vec[f] = one
-        for i, c in enumerate(red.pivot_cols):
-            vec[c] = -red.matrix[i][f]
-        basis.append(tuple(vec))
-    return basis
+    return _nullspace(len(rows[0]), red.pivot_cols,
+                      lambda i, f: -red.matrix[i][f], zero, one)
 
 
 def vanishes_identically(form, space):

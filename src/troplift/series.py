@@ -25,7 +25,6 @@ __all__ = [
     "regrid",
     "laurent_gcd",
     "laurent_divexact",
-    "laurent_lcm",
 ]
 
 
@@ -540,12 +539,6 @@ def laurent_divexact(a, g):
     off = lo_a - lo_g
     return LaurentPolynomial._normalized(
         q, {off + i: c for i, c in enumerate(quot)}, a.content / g.content)
-
-
-def laurent_lcm(a, b):
-    """Least common multiple up to units."""
-    g = laurent_gcd(a, b)
-    return laurent_divexact(a, g) * b
 
 
 def _unit_normalized(num, den):

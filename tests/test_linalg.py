@@ -26,6 +26,20 @@ ZERO = PuiseuxFraction.zero()
 T = PuiseuxFraction.t_power(1)
 
 
+def random_scalar(rng, zero=True):
+    """Zero, a Laurent monomial or binomial, or a ratio over a binomial."""
+    kind = rng.randint(0 if zero else 1, 3)
+    if kind == 0:
+        return ZERO
+    num = LaurentPolynomial.from_terms(
+        {rng.randint(-2, 2): rng.choice([-3, -1, 1, 2]) for _ in range(kind)})
+    if kind < 3:
+        return PuiseuxFraction(num)
+    den = LaurentPolynomial.from_terms(
+        {0: 1, rng.randint(1, 2): F(rng.choice([-2, 1, 3]), 2)})
+    return PuiseuxFraction(num, den)
+
+
 def check_solution_preserved(rows, rhs, red, samples=20, seed=0):
     """Any solution of the reduced system solves the original, exactly."""
     rng = random.Random(seed)
@@ -103,19 +117,53 @@ class TestRrefSeriesField:
 
     def test_rank_invariant_under_row_ops(self):
         rng = random.Random(13)
-        for _ in range(25):
+        for _ in range(40):
             m, n = rng.randint(1, 3), rng.randint(1, 4)
-            rows = [[px({rng.randint(-2, 2): rng.randint(-3, 3)})
-                     for _ in range(n)] for _ in range(m)]
+            rows = [[random_scalar(rng) for _ in range(n)] for _ in range(m)]
             rhs = [px({0: rng.randint(-2, 2)}) for _ in range(m)]
             base = rref_solve(rows, rhs).rank
             perm = list(range(m))
             rng.shuffle(perm)
-            scaled = [[rows[i][j] * px({rng.randint(0, 2): rng.choice([1, 2, 3])})
-                       for j in range(n)] for i in perm]
-            rhs2 = [rhs[i] * ONE for i in perm]
-            # scale each row by its own nonzero factor
+            # scale each row by its own nonzero factor, ratios included
+            factors = [random_scalar(rng, zero=False) for _ in range(m)]
+            scaled = [[x * factors[i] for x in rows[i]] for i in perm]
+            rhs2 = [rhs[i] * factors[i] for i in perm]
             assert rref_solve(scaled, rhs2).rank == base
+
+    def test_bareiss_divisions_exact(self):
+        # Block-diagonal systems: while one block supplies the pivot, every
+        # row of the other block is zero in the pivot column, so its update
+        # is the bare multiply by the pivot and exact divide by the previous
+        # one.  laurent_divexact raises ArithmeticError on an inexact step.
+        rng = random.Random(29)
+        for _ in range(30):
+            sizes = [(rng.randint(1, 2), rng.randint(1, 3)) for _ in range(2)]
+            n = sum(w for _, w in sizes)
+            rows = []
+            start = 0
+            for h, w in sizes:
+                for _ in range(h):
+                    row = [ZERO] * n
+                    for j in range(start, start + w):
+                        row[j] = random_scalar(rng)
+                    rows.append(row)
+                start += w
+            rng.shuffle(rows)
+            x0 = [random_scalar(rng) for _ in range(n)]
+            rhs = []
+            for row in rows:
+                acc = ZERO
+                for a, x in zip(row, x0):
+                    acc = acc + a * x
+                rhs.append(acc)
+            red = rref_solve(rows, rhs)
+            assert red.consistent
+            for i, c in enumerate(red.pivot_cols):
+                for k in range(red.rank):
+                    assert red.matrix[k][c] == (ONE if k == i else ZERO)
+            for row in red.matrix.rows[red.rank:]:
+                assert not any(row)
+            check_solution_preserved(rows, rhs, red, samples=5)
 
 
 class TestSolveAffine:
@@ -148,6 +196,73 @@ class TestSolveAffine:
                 pt = space.point(w)
                 for row, b in zip(rows, rhs):
                     assert sum(a * x for a, x in zip(row, pt)) == b
+
+    def test_matches_plain_gauss_jordan(self):
+        rng = random.Random(47)
+        seen = {"none": 0, "deficient": 0, "zero_row": 0, "tall": 0, "wide": 0}
+        for _ in range(300):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [[F(rng.randint(-6, 6), rng.randint(1, 4))
+                     if rng.random() < 0.7 else F(0) for _ in range(n)]
+                    for _ in range(m)]
+            if m > 1 and rng.random() < 0.4:
+                # a combination of two rows makes the system rank-deficient
+                a, b = rng.sample(range(m), 2)
+                c = F(rng.randint(-3, 3), rng.randint(1, 3))
+                rows[rng.randrange(m)] = [x + c * y
+                                          for x, y in zip(rows[a], rows[b])]
+            if rng.random() < 0.15:
+                rows[rng.randrange(m)] = [F(0)] * n
+            x0 = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+            rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+            if rng.random() < 0.3:
+                rhs[rng.randrange(m)] += F(rng.randint(1, 5), rng.randint(1, 5))
+            want = reference_solve(rows, rhs)
+            got = solve_affine(rows, rhs)
+            if want is None:
+                assert got is None
+                seen["none"] += 1
+            else:
+                assert (got.offset, got.basis) == want
+                assert got.dim == len(want[1])
+                assert all(isinstance(v, F)
+                           for v in got.offset + sum(got.basis, ()))
+                seen["deficient"] += n - got.dim < min(m, n)
+            seen["zero_row"] += any(not any(row) for row in rows)
+            seen["tall"] += m > n
+            seen["wide"] += m < n
+        assert all(seen.values()), seen
+
+
+def reference_solve(rows, rhs):
+    """Plain Fraction Gauss-Jordan: (offset, basis) of the solutions, or None."""
+    a = [list(row) + [b] for row, b in zip(rows, rhs)]
+    n = len(rows[0])
+    pivots = []
+    for c in range(n):
+        r = next((r for r in range(len(pivots), len(a)) if a[r][c]), None)
+        if r is None:
+            continue
+        k = len(pivots)
+        a[r], a[k] = a[k], [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            f = a[i][c]
+            if i != k and f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+        pivots.append(c)
+    if any(row[n] for row in a[len(pivots):]):
+        return None
+    offset = [F(0)] * n
+    basis = []
+    for f in range(n):
+        vec = [F(0)] * n
+        vec[f] = F(1)
+        for i, c in enumerate(pivots):
+            offset[c] = a[i][n]
+            vec[c] = -a[i][f]
+        if f not in pivots:
+            basis.append(tuple(vec))
+    return tuple(offset), tuple(basis)
 
 
 class TestVanishesIdentically:
