@@ -152,6 +152,8 @@ def _cmd_bench(args):
                           "bench --sizes")
     if not sizes or any(s < 1 for s in sizes):
         raise FormatError("sizes must be positive", "bench --sizes")
+    if args.reps < 1:
+        raise FormatError("reps must be positive", "bench --reps")
     lines = ["n,m,decide_ms,oracle_ms"]
     for n in sizes:
         m = max(1, n // 2)

@@ -10,7 +10,8 @@ after each row is cleared of its denominators.  Correctness requires every
 division to be exact: `laurent_divexact` raises ArithmeticError
 otherwise.  When elimination ends, every pivot row carries the same pivot
 D, so each reduced entry is N/D, built once as a Fraction or a
-PuiseuxFraction.
+PuiseuxFraction; `kernel_basis` skips the division and returns its
+vectors scaled by D.
 """
 
 from __future__ import annotations
@@ -174,18 +175,21 @@ def _bareiss(rows, ncols, key, divexact):
     return pivot_cols
 
 
-def _nullspace(n, pivot_cols, neg_entry, zero, one):
+def _nullspace(n, pivot_cols, neg_entry, zero, scale):
     """Kernel basis of a reduced system, one vector per free column f.
 
-    The vector holds one at f, neg_entry(i, f) at the pivot column of
-    pivot row i, and zero elsewhere.
+    The vector holds `scale` at f, neg_entry(i, f) at the pivot column of
+    pivot row i, and zero elsewhere.  With scale 1 and neg_entry the
+    negated reduced entry -N/D, this is the usual basis; with scale D and
+    neg_entry the negated eliminated entry -N, it is that basis scaled
+    by D.
     """
     basis = []
     for f in range(n):
         if f in pivot_cols:
             continue
         vec = [zero] * n
-        vec[f] = one
+        vec[f] = scale
         for i, c in enumerate(pivot_cols):
             vec[c] = neg_entry(i, f)
         basis.append(tuple(vec))
@@ -198,9 +202,8 @@ def _poly_key(p):
     return abs(p.valuation()), len(p.coeffs)
 
 
-def _clear_denominators(row, rhs):
-    """Numerators of an augmented row of series scalars times their lcm."""
-    entries = [*row, rhs]
+def _clear_denominators(entries):
+    """Numerators of a row of series scalars times their lcm."""
     dens = [x.den for x in entries if not x.den.is_one]
     if not dens:
         return [x.num for x in entries]
@@ -219,6 +222,18 @@ def _integer_row(row, rhs):
     return [x.numerator * (scale // x.denominator) for x in entries]
 
 
+def _eliminate(rows, ncols):
+    """Bareiss elimination of rows of series scalars, cleared of denominators.
+
+    Returns the eliminated Laurent numerator rows N, the pivot columns and
+    the common pivot D (1 at rank 0); each reduced entry is N/D.
+    """
+    polys = [_clear_denominators(row) for row in rows]
+    pivot_cols = _bareiss(polys, ncols, _poly_key, laurent_divexact)
+    d = polys[0][pivot_cols[0]] if pivot_cols else LaurentPolynomial.one()
+    return polys, pivot_cols, d
+
+
 def rref_solve(matrix, rhs):
     """Reduce the augmented system (matrix | rhs) of series scalars.
 
@@ -230,10 +245,9 @@ def rref_solve(matrix, rhs):
     n = len(rows[0]) if rows else 0
     if len(rhs) != m:
         raise ValueError("rhs length does not match row count")
-    polys = [_clear_denominators(row, b) for row, b in zip(rows, rhs)]
-    pivot_cols = _bareiss(polys, n, _poly_key, laurent_divexact)
+    polys, pivot_cols, d = _eliminate(
+        [[*row, b] for row, b in zip(rows, rhs)], n)
     rank = len(pivot_cols)
-    d = polys[0][pivot_cols[0]] if rank else LaurentPolynomial.one()
     # past the rank only the right-hand side can be nonzero, and only its
     # being nonzero matters, so those rows skip the division by d
     reduced = ([[PuiseuxFraction(x, d) for x in row] for row in polys[:rank]]
@@ -288,21 +302,22 @@ def whole_space(n):
     return AffineSpace(offset=(zero,) * n, basis=tuple(basis), dim=n)
 
 
-def kernel_basis(matrix, one, ncols=None):
+def kernel_basis(matrix, ncols=None):
     """Basis of the right kernel of a matrix of series scalars.
 
-    ``one`` must be the scalars' multiplicative identity (needed to build
-    unit vectors when the matrix imposes no constraint on a column).
+    Each vector is the reduced-form basis vector scaled by the common
+    pivot D: D at its free column and -N at the pivot columns, so every
+    entry has denominator 1.  An empty matrix needs ``ncols`` and gives
+    the unit vectors.
     """
     rows = matrix.rows if isinstance(matrix, Matrix) else matrix
-    zero = one - one
-    if not rows:
-        if ncols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return _nullspace(ncols, (), None, zero, one)
-    red = rref_solve(rows, [zero] * len(rows))
-    return _nullspace(len(rows[0]), red.pivot_cols,
-                      lambda i, f: -red.matrix[i][f], zero, one)
+    if not rows and ncols is None:
+        raise ValueError("empty matrix needs an explicit column count")
+    n = len(rows[0]) if rows else ncols
+    polys, pivot_cols, d = _eliminate(rows, n)
+    return _nullspace(n, pivot_cols,
+                      lambda i, f: PuiseuxFraction(-polys[i][f]),
+                      PuiseuxFraction.zero(), PuiseuxFraction(d))
 
 
 def vanishes_identically(form, space):

@@ -52,8 +52,7 @@ def _row_space_section(matrix, support):
     m = matrix.nrows
     complement = [j for j in range(matrix.ncols) if j not in support]
     constraint = [[matrix[i][j] for i in range(m)] for j in complement]
-    one = PuiseuxFraction.one()
-    combos = kernel_basis(constraint, one=one, ncols=m)
+    combos = kernel_basis(constraint, ncols=m)
     zero = PuiseuxFraction.zero()
     images = []
     for c in combos:

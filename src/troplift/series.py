@@ -312,16 +312,15 @@ def _fmt_term(e, c):
     return "%s*%s" % (c, t)
 
 
-# -- integer polynomial helpers (descending dense coefficient lists) --------
+# -- integer polynomial helpers (dense coefficient lists) -------------------
 
-def _dense_descending(coeffs):
-    """Dense descending integer coefficient list of a grid-keyed term table."""
+def _dense(coeffs):
+    """Dense ascending int list of a grid-keyed table, and its lowest key."""
     lo = min(coeffs)
-    hi = max(coeffs)
-    out = [0] * (hi - lo + 1)
+    out = [0] * (max(coeffs) - lo + 1)
     for k, v in coeffs.items():
-        out[hi - k] = v
-    return out
+        out[k - lo] = v
+    return out, lo
 
 
 def _trim(p):
@@ -354,15 +353,8 @@ def _modp_gcd_degree(a, b, p=_GCD_PRIME):
     """
     if a[0] % p == 0 and b[0] % p == 0:
         return None
-
-    def strip(x):
-        i = 0
-        while i < len(x) and x[i] == 0:
-            i += 1
-        return x[i:]
-
-    big = strip([c % p for c in a])
-    small = strip([c % p for c in b])
+    big = _trim([c % p for c in a])
+    small = _trim([c % p for c in b])
     if not big or not small:
         return None
     if len(big) < len(small):
@@ -378,7 +370,7 @@ def _modp_gcd_degree(a, b, p=_GCD_PRIME):
                      for i in range(1, ns)] + r[ns:]
             else:
                 r = r[1:]
-            r = strip(r)
+            r = _trim(r)
         big, small = small, r
     return len(big) - 1
 
@@ -467,56 +459,12 @@ def laurent_gcd(a, b):
     if a.is_zero or b.is_zero:
         raise ValueError("gcd of zero polynomial")
     q = math.lcm(a.q, b.q)
-    g = _int_poly_gcd(_dense_descending(a._on_grid(q)),
-                      _dense_descending(b._on_grid(q)))
+    pa, _ = _dense(a._on_grid(q))
+    pb, _ = _dense(b._on_grid(q))
+    g = _int_poly_gcd(pa[::-1], pb[::-1])
     g = g[::-1]  # ascending, g[0] != 0 after primitive trim
     return LaurentPolynomial._normalized(q, {i: c for i, c in enumerate(g)},
                                          Fraction(1))
-
-
-def _modp_divisible(a, b, p=_GCD_PRIME):
-    """False only when b cannot divide a over the rationals (sound filter)."""
-
-    def strip(x):
-        i = 0
-        while i < len(x) and x[i] == 0:
-            i += 1
-        return x[i:]
-
-    big = strip([c % p for c in a])
-    small = strip([c % p for c in b])
-    if not small:
-        return True  # inconclusive; caller falls back to the exact attempt
-    if len(big) < len(small):
-        return not big
-    inv = pow(small[0], p - 2, p)
-    ns = len(small)
-    r = big
-    while len(r) >= ns:
-        f = r[0] * inv % p
-        if f:
-            r = [(r[i] - f * small[i]) % p for i in range(1, ns)] + r[ns:]
-        else:
-            r = r[1:]
-        r = strip(r)
-    return not r
-
-
-def try_divexact(a, g):
-    """Exact Laurent quotient a/g, or None when g does not divide a."""
-    if a.is_zero:
-        return LaurentPolynomial.zero()
-    q = math.lcm(a.q, g.q)
-    ca = a._on_grid(q)
-    cg = g._on_grid(q)
-    if len(ca) < len(cg) or (max(ca) - min(ca)) < (max(cg) - min(cg)):
-        return None
-    if not _modp_divisible(_dense_descending(ca), _dense_descending(cg)):
-        return None
-    try:
-        return laurent_divexact(a, g)
-    except ArithmeticError:
-        return None
 
 
 def laurent_divexact(a, g):
@@ -526,15 +474,8 @@ def laurent_divexact(a, g):
     if a.is_zero:
         return LaurentPolynomial.zero()
     q = math.lcm(a.q, g.q)
-    ca = a._on_grid(q)
-    cg = g._on_grid(q)
-    lo_a, lo_g = min(ca), min(cg)
-    pa = [0] * (max(ca) - lo_a + 1)
-    for k, v in ca.items():
-        pa[k - lo_a] = v
-    pg = [0] * (max(cg) - lo_g + 1)
-    for k, v in cg.items():
-        pg[k - lo_g] = v
+    pa, lo_a = _dense(a._on_grid(q))
+    pg, lo_g = _dense(g._on_grid(q))
     quot = _divexact_ascending(pa, pg)
     off = lo_a - lo_g
     return LaurentPolynomial._normalized(
@@ -590,16 +531,7 @@ class PuiseuxFraction:
             self.den = LaurentPolynomial.one()
             return
         if not den.is_one:
-            if not den.is_monomial and not num.is_monomial:
-                quot = try_divexact(num, den)
-                if quot is not None:
-                    num = quot
-                    den = LaurentPolynomial.one()
-                else:
-                    g = laurent_gcd(num, den)
-                    if len(g.coeffs) > 1:
-                        num = laurent_divexact(num, g)
-                        den = laurent_divexact(den, g)
+            _, num, den = _cofactor_gcd(num, den)
             num, den = _unit_normalized(num, den)
         self.num = num
         self.den = den
@@ -718,17 +650,6 @@ class PuiseuxFraction:
             raise ZeroDivisionError("division by zero")
         if self.is_zero:
             return self
-        if self.den.is_one and other.den.is_one:
-            nb = other.num
-            if nb.is_monomial:
-                quot = (self.num.shift(-nb.valuation())
-                        .scale(1 / nb.lowest_coefficient()))
-                return PuiseuxFraction._exact(quot, LaurentPolynomial.one())
-            if not self.num.is_monomial:
-                quot = try_divexact(self.num, nb)
-                if quot is not None:
-                    return PuiseuxFraction._exact(quot,
-                                                  LaurentPolynomial.one())
         _, n1, n2 = _cofactor_gcd(self.num, other.num)
         _, dl, d2 = _cofactor_gcd(self.den, other.den)
         return PuiseuxFraction._exact(*_unit_normalized(n1 * d2, dl * n2))
@@ -738,14 +659,6 @@ class PuiseuxFraction:
         if other is NotImplemented:
             return NotImplemented
         return other / self
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = PuiseuxFraction.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     def shift(self, e):
         """Multiply by the monomial t**e; shifts the valuation by exactly e."""

@@ -247,6 +247,11 @@ class TestCliContract:
             assert float(decide_ms) >= 0
             assert oracle_ms != "skipped"
 
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_bench_rejects_nonpositive_reps(self, reps, capsys):
+        assert main(["bench", "--sizes", "3", "--reps", reps]) == 2
+        assert "bench --reps" in capsys.readouterr().err
+
     def test_bench_skips_oracle_beyond_guard(self, capsys):
         assert main(["bench", "--sizes", "14", "--seed", "2",
                      "--reps", "1"]) == 0

@@ -289,7 +289,7 @@ class TestVanishesIdentically:
 class TestKernelBasis:
     def test_kernel_over_series_field(self):
         rows = [[ONE, T, -ONE]]
-        basis = kernel_basis(rows, one=ONE)
+        basis = kernel_basis(rows)
         assert len(basis) == 2
         for vec in basis:
             acc = ZERO
@@ -297,6 +297,33 @@ class TestKernelBasis:
                 acc = acc + a * x
             assert acc == ZERO
 
+    def test_ratio_rows_give_polynomial_vectors(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            m = rng.randint(1, 4)
+            n = rng.randint(2, 5)
+            rows = [[random_scalar(rng) for _ in range(n)] for _ in range(m)]
+            for row in rows:
+                x = ZERO
+                while x.den.is_one:
+                    x = random_scalar(rng, zero=False)
+                row[rng.randrange(n)] = x
+            if m > 1 and rng.random() < 0.5:
+                # a dependent row, so the rank drops below min(m, n)
+                lam = random_scalar(rng, zero=False)
+                rows.append([a + lam * b for a, b in zip(rows[0], rows[1])])
+            rank = rref_solve(rows, [ZERO] * len(rows)).rank
+            basis = kernel_basis(rows)
+            assert len(basis) == n - rank
+            for vec in basis:
+                assert all(x.den.is_one for x in vec)
+                assert any(vec)
+                for row in rows:
+                    acc = ZERO
+                    for a, x in zip(row, vec):
+                        acc = acc + a * x
+                    assert acc == ZERO
+
     def test_empty_matrix(self):
-        basis = kernel_basis([], one=F(1), ncols=2)
+        basis = kernel_basis([], ncols=2)
         assert basis == [(1, 0), (0, 1)]

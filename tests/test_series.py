@@ -37,6 +37,13 @@ def rand_laurent(rng, max_terms=3, lo=-3, hi=3, q=2, bound=9, allow_zero=True):
     return LaurentPolynomial.from_terms(terms)
 
 
+def nonzero_laurent(rng, **kw):
+    p = rand_laurent(rng, allow_zero=False, **kw)
+    while p.is_zero:
+        p = rand_laurent(rng, allow_zero=False, **kw)
+    return p
+
+
 def rand_scalar(rng, nonzero=False):
     num = rand_laurent(rng, allow_zero=not nonzero)
     while nonzero and num.is_zero:
@@ -204,17 +211,11 @@ class TestCanonicalForm:
                 a, b = b, pmod(a, b)
             return [c / a[-1] for c in a]
 
-        def draw(rng, **kw):
-            p = rand_laurent(rng, allow_zero=False, **kw)
-            while p.is_zero:
-                p = rand_laurent(rng, allow_zero=False, **kw)
-            return p
-
         rng = random.Random(11)
         for _ in range(60):
-            g = draw(rng, max_terms=2, lo=0, hi=2, q=1)
-            a = draw(rng, max_terms=3, lo=0, hi=3, q=1) * g
-            b = draw(rng, max_terms=3, lo=0, hi=3, q=1) * g
+            g = nonzero_laurent(rng, max_terms=2, lo=0, hi=2, q=1)
+            a = nonzero_laurent(rng, max_terms=3, lo=0, hi=3, q=1) * g
+            b = nonzero_laurent(rng, max_terms=3, lo=0, hi=3, q=1) * g
             got = laurent_gcd(a, b)
             da = [a.coefficient(i) for i in range(int(a.degree()) + 1)]
             db = [b.coefficient(i) for i in range(int(b.degree()) + 1)]
@@ -226,6 +227,42 @@ class TestCanonicalForm:
                       for i in range(int(got.degree()) + 1)]
             assert scaled == [c / want[-1] for c in want]
             assert laurent_divexact(a, got) * got == a
+
+    def test_every_route_gives_one_canonical_form(self):
+        # b a constant, a monomial or an exact divisor of a: the shapes in
+        # which the reduced denominator is 1
+        def divides(b, a):
+            try:
+                laurent_divexact(a, b)
+            except ArithmeticError:
+                return False
+            return True
+
+        rng = random.Random(23)
+        dens_one = 0
+        for case in range(240):
+            q = 1 + case % 2
+            a = nonzero_laurent(rng, q=q)
+            g = nonzero_laurent(rng, q=3 - q)
+            shape = case // 2 % 4
+            if shape == 0:
+                b = LaurentPolynomial.constant(rng.choice([-3, 2, F(1, 2)]))
+            elif shape == 1:
+                b = LaurentPolynomial.from_terms(
+                    {F(rng.randint(-6, 6), q): rng.choice([-2, 1, F(3, 4)])})
+            else:
+                b = nonzero_laurent(rng, q=q)
+                if shape == 2:
+                    a = a * b
+            x = PuiseuxFraction(a, b)
+            assert PuiseuxFraction(a * g, b * g) == x
+            assert PuiseuxFraction(a) / PuiseuxFraction(b) == x
+            assert x.den.valuation() == 0
+            assert x.den.lowest_coefficient() == 1
+            assert laurent_gcd(x.num, x.den).is_monomial
+            assert x.den.is_one == divides(b, a)
+            dens_one += x.den.is_one
+        assert 180 <= dens_one < 240
 
 
 class TestFieldProperties:
