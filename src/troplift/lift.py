@@ -32,6 +32,7 @@ Failures are certified with the stage that rejected the point.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,7 +44,12 @@ from troplift.linalg import (
     solve_affine,
     vanishes_identically,
 )
-from troplift.series import INF, PuiseuxFraction
+from troplift.series import (
+    INF,
+    LaurentPolynomial,
+    PuiseuxFraction,
+    shared_expansions,
+)
 
 __all__ = [
     "Instance",
@@ -332,10 +338,12 @@ class UnknownLayout:
     low_orders: tuple        # per pivot row: lowest order that can be nonzero
 
 
-def _int_val(x):
-    val = x.valuation()
-    if val == INF:
+def _reduced_val(red, i, j):
+    """Valuation of reduced entry (i, j), read as val(N) - val(D); INF at 0."""
+    x = red.num[i][j]
+    if not x:
         return INF
+    val = x.valuation() - red.den.valuation()
     if val.denominator != 1:
         raise LiftInternalError("subsystem left the integer grid")
     return int(val)
@@ -346,7 +354,7 @@ def attach_unknowns(sub, red):
     free = []
     variables = []
     for f in red.free_cols:
-        vals = [_int_val(red.matrix[i][f]) for i in range(red.rank)]
+        vals = [_reduced_val(red, i, f) for i in range(red.rank)]
         vals = [w for w in vals if w != INF]
         low = min(vals) if vals else None
         degree = -low if (low is not None and low <= 0) else None
@@ -355,8 +363,8 @@ def attach_unknowns(sub, red):
             variables.extend((f, l) for l in range(degree + 1))
     low_orders = []
     for i in range(red.rank):
-        lows = [_int_val(red.matrix[i][f]) for f in red.free_cols]
-        lows.append(_int_val(red.rhs[i]))
+        # column -1 is the right-hand side
+        lows = [_reduced_val(red, i, j) for j in (*red.free_cols, -1)]
         lows = [w for w in lows if w != INF]
         low_orders.append(min(lows) if lows else INF)
     var_index = {var: k for k, var in enumerate(variables)}
@@ -380,13 +388,16 @@ def build_forms(sub, red, layout):
     """
     must_vanish = []
     must_not = []
+    # every entry the forms read, expanded through order 0 over the
+    # shared pivot D: each pivot row's free-column entries, then its
+    # right-hand side (column -1)
+    cols = [fc.column for fc in layout.free] + [-1]
+    flat = shared_expansions(
+        [red.num[i][c] for i in range(red.rank) for c in cols], red.den, 0)
     for i in range(red.rank):
         low = layout.low_orders[i]
-        expansions = []
-        for fc in layout.free:
-            entry = red.matrix[i][fc.column]
-            expansions.append((fc, entry.series_coefficients(0) if entry else {}))
-        rhs_exp = red.rhs[i].series_coefficients(0) if red.rhs[i] else {}
+        *row, rhs_exp = flat[i * len(cols):(i + 1) * len(cols)]
+        expansions = list(zip(layout.free, row))
         pivot_exact = sub.exact[red.pivot_cols[i]]
         orders = [] if low == INF else list(range(low, 0))
         if pivot_exact:
@@ -397,14 +408,14 @@ def build_forms(sub, red, layout):
             for fc, exp in expansions:
                 if fc.degree is None:
                     if fc.exact:
-                        constant += exp.get(Fraction(k), Fraction(0))
+                        constant += exp.get(k, 0)
                 else:
                     for l in range(fc.degree + 1):
-                        c = exp.get(Fraction(k - l), Fraction(0))
+                        c = exp.get(k - l, 0)
                         if c:
                             idx = layout.var_index[(fc.column, l)]
-                            coeffs[idx] = coeffs.get(idx, Fraction(0)) + c
-            constant -= rhs_exp.get(Fraction(k), Fraction(0))
+                            coeffs[idx] = coeffs.get(idx, 0) + c
+            constant -= rhs_exp.get(k, 0)
             form = LinearForm.make(constant, coeffs)
             if k < 0:
                 must_vanish.append(form)
@@ -480,20 +491,22 @@ def reconstruct_witness(sub, red, layout, values):
     locals_ = {}
     for fc in layout.free:
         if fc.degree is None:
-            locals_[fc.column] = (PuiseuxFraction.one() if fc.exact
-                                  else PuiseuxFraction.zero())
+            locals_[fc.column] = (LaurentPolynomial.one() if fc.exact
+                                  else LaurentPolynomial.zero())
         else:
             terms = {l: values[layout.var_index[(fc.column, l)]]
                      for l in range(fc.degree + 1)}
-            locals_[fc.column] = PuiseuxFraction.from_terms(terms)
-    for i in range(red.rank):
-        acc = red.rhs[i]
+            locals_[fc.column] = LaurentPolynomial.from_terms(terms)
+    coords = {col: PuiseuxFraction(x) for col, x in locals_.items()}
+    # pivot coordinate i is (N_rhs - sum_f N_if * x_f) / D: a polynomial
+    # sum, reduced once
+    for i, row in enumerate(red.num[:red.rank]):
+        acc = row[-1]
         for fc in layout.free:
-            entry = red.matrix[i][fc.column]
-            if entry and locals_[fc.column]:
-                acc = acc - entry * locals_[fc.column]
-        locals_[red.pivot_cols[i]] = acc
-    return {col: locals_[col].shift(sub.shifts[col])
+            if row[fc.column] and locals_[fc.column]:
+                acc = acc - row[fc.column] * locals_[fc.column]
+        coords[red.pivot_cols[i]] = PuiseuxFraction(acc, red.den)
+    return {col: coords[col].shift(sub.shifts[col])
             for col in range(len(sub.shifts))}
 
 
@@ -547,15 +560,44 @@ def decide(inst, v):
 
 
 def verify_witness(inst, v, x):
-    """Exact check: A*x = b and every coordinate has the requested valuation."""
+    """Exact check: A*x = b and every coordinate has the requested valuation.
+
+    Each row is tested as one polynomial identity over a common
+    denominator of its terms a_ij*x_j and -b_i.
+    """
     v = as_point(v)
     if len(v) != inst.n or len(x) != inst.n:
         return False
     x = tuple(_as_scalar(c) for c in x)
-    for got, want in zip(matvec(inst, x), inst.rhs):
-        if got != want:
+    for row, b in zip(inst.matrix, inst.rhs):
+        terms = [(a.num * xi.num, (a.den, xi.den))
+                 for a, xi in zip(row, x) if a and xi]
+        terms.append((-b.num, (b.den,)))
+        if not _sums_to_zero(terms):
             return False
     for xi, vi in zip(x, v):
         if xi.valuation() != vi:
             return False
     return True
+
+
+def _sums_to_zero(terms):
+    """Whether the sum of num / prod(dens) over (num, dens) terms is zero.
+
+    The common denominator C is the product of every distinct
+    denominator factor, each to the largest power it has in one term.  C
+    is a multiple of every term's denominator, so the sum is zero exactly
+    when the polynomial sum of num * C/den is, and C/den is a product of
+    factors: no gcd and no division is needed.
+    """
+    factored = [(num, Counter(d for d in dens if not d.is_one))
+                for num, dens in terms]
+    common = Counter()
+    for _, factors in factored:
+        common |= factors
+    acc = LaurentPolynomial.zero()
+    for num, factors in factored:
+        for f in (common - factors).elements():
+            num = num * f
+        acc = acc + num
+    return acc.is_zero

@@ -9,9 +9,9 @@ cleared to integers, and on Laurent polynomials for the series system,
 after each row is cleared of its denominators.  Correctness requires every
 division to be exact: `laurent_divexact` raises ArithmeticError
 otherwise.  When elimination ends, every pivot row carries the same pivot
-D, so each reduced entry is N/D, built once as a Fraction or a
-PuiseuxFraction; `kernel_basis` skips the division and returns its
-vectors scaled by D.
+D, so each reduced entry is N/D.  `rref_solve` returns the numerator rows
+N and D themselves, and builds a reduced entry N/D only when a caller
+reads `matrix` or `rhs`; `kernel_basis` returns its vectors scaled by D.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from troplift.series import (
     LaurentPolynomial,
@@ -69,19 +70,41 @@ class Matrix:
 
 @dataclass(frozen=True)
 class RrefResult:
-    """Outcome of reduced row elimination on an augmented system.
+    """Outcome of fraction-free reduced row elimination on an augmented system.
 
-    Pivot rows come first and carry 1 in their pivot column and 0 in every
-    other pivot column; rows past `rank` are identically zero.  The
-    solution set of (matrix, rhs) equals that of the input system.
+    `num` holds the eliminated Laurent numerator rows N, each with its
+    right-hand side last, and `den` the common pivot D.  Pivot row i
+    carries D in column pivot_cols[i] and 0 in every other pivot column,
+    so its reduced entries are N[i][j]/D; rows past `rank` are zero but
+    for their right-hand sides, which are kept undivided.
+
+    `matrix` and `rhs` are those reduced entries as series scalars, built
+    on first read: pivot rows carry 1 in their pivot column and 0 in
+    every other pivot column, rows past `rank` are identically zero, and
+    the solution set of (matrix, rhs) equals that of the input system.
     """
 
-    matrix: Matrix
-    rhs: tuple
+    num: tuple
+    den: LaurentPolynomial
     pivot_cols: tuple
     free_cols: tuple
     rank: int
     consistent: bool
+
+    def _entry(self, i, j):
+        x = self.num[i][j]
+        return PuiseuxFraction(x, self.den if i < self.rank else None)
+
+    @cached_property
+    def matrix(self):
+        n = len(self.pivot_cols) + len(self.free_cols)
+        return Matrix.from_rows([[self._entry(i, j) for j in range(n)]
+                                 for i in range(len(self.num))])
+
+    @cached_property
+    def rhs(self):
+        return tuple(self._entry(i, len(row) - 1)
+                     for i, row in enumerate(self.num))
 
 
 @dataclass(frozen=True)
@@ -248,13 +271,9 @@ def rref_solve(matrix, rhs):
     polys, pivot_cols, d = _eliminate(
         [[*row, b] for row, b in zip(rows, rhs)], n)
     rank = len(pivot_cols)
-    # past the rank only the right-hand side can be nonzero, and only its
-    # being nonzero matters, so those rows skip the division by d
-    reduced = ([[PuiseuxFraction(x, d) for x in row] for row in polys[:rank]]
-               + [[PuiseuxFraction(x) for x in row] for row in polys[rank:]])
     return RrefResult(
-        matrix=Matrix.from_rows([row[:n] for row in reduced]),
-        rhs=tuple(row[n] for row in reduced),
+        num=tuple(map(tuple, polys)),
+        den=d,
         pivot_cols=tuple(pivot_cols),
         free_cols=tuple(c for c in range(n) if c not in pivot_cols),
         rank=rank,

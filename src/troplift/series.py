@@ -25,6 +25,7 @@ __all__ = [
     "regrid",
     "laurent_gcd",
     "laurent_divexact",
+    "shared_expansions",
 ]
 
 
@@ -482,6 +483,51 @@ def laurent_divexact(a, g):
         q, {off + i: c for i, c in enumerate(quot)}, a.content / g.content)
 
 
+def shared_expansions(nums, den, upto):
+    """Expansions about t=0 of num/den, for each num, through order `upto`.
+
+    One truncated expansion of 1/den serves every numerator: the
+    coefficient of t**e in num/den is the sum, over the terms c*t**a of
+    num, of c times the coefficient of t**(e-a) in 1/den.  Each result
+    maps exponent -> coefficient, zeros omitted, on the common grid of
+    num and den.  `den` must be nonzero; num/den need not be reduced.
+    """
+    upto = Fraction(upto)
+    q = math.lcm(den.q, *(x.q for x in nums))
+    dgrid = den._on_grid(q)
+    lo = min(dgrid)
+    top = math.floor(upto * q) + lo  # highest numerator key that can count
+    grids = [x._on_grid(q) for x in nums]
+    need = max((top - min(g) for g in grids if g), default=-1)
+    if need < 0:
+        return [{} for _ in nums]
+    if len(dgrid) == 1:
+        need = 0  # the inverse of a monomial is one term
+    # inverse series of the primitive den/t**lo, scaled by d0**(need+1)
+    # so every coefficient is an integer: inv[j] = d0**(need+1) * e_j,
+    # where e_j carries at most d0**(j+1) in its denominator
+    d = [dgrid.get(lo + i, 0) for i in range(min(need, max(dgrid) - lo) + 1)]
+    d0 = d[0]
+    inv = [d0 ** need]
+    for j in range(1, need + 1):
+        inv.append(-sum(d[i] * inv[j - i]
+                        for i in range(1, min(j, len(d) - 1) + 1) if d[i])
+                   // d0)
+    scale = den.content * d0 ** (need + 1)
+    out = []
+    for x, g in zip(nums, grids):
+        acc = {}
+        for a, c in g.items():
+            for j in range(min(need, top - a) + 1):
+                if inv[j]:
+                    k = a - lo + j
+                    acc[k] = acc.get(k, 0) + c * inv[j]
+        factor = x.content / scale
+        out.append({Fraction(k, q): factor * s
+                    for k, s in sorted(acc.items()) if s})
+    return out
+
+
 def _unit_normalized(num, den):
     """Divide out the denominator's unit part: val(den)=0, lowest coeff 1."""
     if den.is_one:
@@ -672,38 +718,10 @@ class PuiseuxFraction:
     def series_coefficients(self, upto):
         """Coefficients of the expansion about t=0 for all exponents <= upto.
 
-        Returns {exponent: coefficient} computed by exact long division of
-        num by den; exponents lie on the common grid of num and den.
+        Returns {exponent: coefficient}, zeros omitted; exponents lie on
+        the common grid of num and den.
         """
-        if self.num.is_zero:
-            return {}
-        upto = Fraction(upto)
-        q = math.lcm(self.num.q, self.den.q)
-        dgrid = self.den._on_grid(q)
-        k_low = min(dgrid)
-        d0 = dgrid[k_low]  # true lowest coefficient den.content * d0 is 1
-        dtail = [(k - k_low, v) for k, v in dgrid.items() if k != k_low]
-        cn = self.num.content
-        rem = {k - k_low: cn * v for k, v in self.num._on_grid(q).items()}
-        kmax = math.floor(upto * q)
-        out = {}
-        while rem:
-            k0 = min(rem)
-            if k0 > kmax:
-                break
-            c = rem.pop(k0)
-            out[Fraction(k0, q)] = c
-            if dtail:
-                step = c / d0  # c * den.content, the eliminated multiple
-                for kd, dv in dtail:
-                    k = k0 + kd
-                    v = rem.get(k)
-                    v = -step * dv if v is None else v - step * dv
-                    if v:
-                        rem[k] = v
-                    elif k in rem:
-                        del rem[k]
-        return out
+        return shared_expansions((self.num,), self.den, upto)[0]
 
     def coefficient_at(self, e):
         """Exact coefficient of t**e in the expansion about t=0."""

@@ -242,6 +242,15 @@ class TestReconstructWitness:
         coords = reconstruct_witness(sub, red, layout, outcome.values)
         assert coords == {0: px({3: 1}), 1: px({-1: 1, 2: -1})}
 
+    def test_stages_never_build_reduced_entries(self):
+        # each reduced entry N/D costs a gcd; the stages read N and D
+        sub, red, layout, vanish, keep = run_stage_pipeline(W4, (0, 0, 0))
+        outcome = solve_and_sweep(vanish, keep, layout)
+        reconstruct_witness(sub, red, layout, outcome.values)
+        assert "matrix" not in vars(red) and "rhs" not in vars(red)
+        assert red.matrix[0][red.pivot_cols[0]] == ONE
+        assert "matrix" in vars(red)
+
 
 class TestDecideFixtures:
     def test_w1_membership_table(self):
@@ -299,6 +308,48 @@ class TestVerifyWitness:
         inst = Instance.from_rows([[ONE, ONE]], [ONE])
         assert verify_witness(inst, (0, INF), (ONE, ZERO))
         assert not verify_witness(inst, (0, INF), (ONE, px({5: 1})))
+
+    def test_common_denominator_check_matches_matvec(self):
+        # entries and coordinates over distinct binomial denominators,
+        # with some shared between A and x so a term's denominator can
+        # repeat a factor; the high-order bump keeps every valuation
+        rng = random.Random(83)
+        dens = [LaurentPolynomial.from_terms({0: 1, k: F(c, 2)})
+                for k in (1, 2, 3) for c in (-3, 1, 5)]
+        bump = px({40: 1})
+
+        def scalar(zero):
+            if zero and rng.random() < 0.2:
+                return ZERO
+            num = LaurentPolynomial.from_terms(
+                {rng.randint(-3, 3): F(rng.randint(-5, 5) or 1,
+                                       rng.randint(1, 4))
+                 for _ in range(rng.randint(1, 3))})
+            if rng.random() < 0.25:
+                return PuiseuxFraction(num)
+            return PuiseuxFraction(num, rng.choice(dens))
+
+        checked = 0
+        for _ in range(40):
+            m, n = rng.randint(1, 3), rng.randint(1, 4)
+            rows = [[scalar(True) for _ in range(n)] for _ in range(m)]
+            x = [scalar(True) for _ in range(n)]
+            rhs = [ZERO] * m
+            inst = Instance.from_rows(rows, rhs)
+            inst = Instance.from_rows(rows, matvec(inst, x))
+            v = tuple(c.valuation() for c in x)
+            assert verify_witness(inst, v, x)
+            assert matvec(inst, x) == inst.rhs
+            for j in range(n):
+                if not any(row[j] for row in rows) or x[j].valuation() >= 40:
+                    continue
+                bumped = list(x)
+                bumped[j] = x[j] + bump
+                assert bumped[j].valuation() == v[j]
+                assert matvec(inst, bumped) != inst.rhs
+                assert not verify_witness(inst, v, bumped)
+                checked += 1
+        assert checked > 40
 
 
 class TestMetamorphicProperties:

@@ -14,7 +14,7 @@ from troplift.linalg import (
     vanishes_identically,
     whole_space,
 )
-from troplift.series import LaurentPolynomial, PuiseuxFraction
+from troplift.series import LaurentPolynomial, PuiseuxFraction, shared_expansions
 
 
 def px(terms):
@@ -164,6 +164,63 @@ class TestRrefSeriesField:
             for row in red.matrix.rows[red.rank:]:
                 assert not any(row)
             check_solution_preserved(rows, rhs, red, samples=5)
+
+
+    def test_numerators_over_shared_pivot(self):
+        # red.num and red.den, read directly, against a plain Gauss-Jordan
+        # pass over the field that takes the same pivot columns in order
+        rng = random.Random(59)
+        seen = {"deficient": 0, "inconsistent": 0, "ratio_den": 0}
+        for _ in range(60):
+            m, n = rng.randint(1, 4), rng.randint(1, 5)
+            rows = [[random_scalar(rng) for _ in range(n)] for _ in range(m)]
+            rhs = [random_scalar(rng) for _ in range(m)]
+            if m > 1 and rng.random() < 0.5:
+                lam = random_scalar(rng, zero=False)
+                k = rng.randrange(1, m)
+                rows[k] = [a + lam * b for a, b in zip(rows[0], rows[k - 1])]
+                rhs[k] = rhs[0] + lam * rhs[k - 1]
+                if rng.random() < 0.5:
+                    rhs[k] = rhs[k] + ONE
+            red = rref_solve(rows, rhs)
+            want = field_rref(rows, rhs, red.pivot_cols)
+            assert len(red.num) == m
+            assert all(len(row) == n + 1 for row in red.num)
+            entries = [(i, j) for i in range(red.rank) for j in range(n + 1)]
+            expansions = shared_expansions(
+                [red.num[i][j] for i, j in entries], red.den, 0)
+            for (i, j), expansion in zip(entries, expansions):
+                got = (red.matrix[i][j] if j < n else red.rhs[i])
+                assert PuiseuxFraction(red.num[i][j], red.den) == got
+                # with an inconsistent system the pivot rows' right-hand
+                # sides depend on which rows were used
+                if j < n or red.consistent:
+                    assert got == want[i][j]
+                assert expansion == got.series_coefficients(0)
+            for i in range(red.rank, m):
+                assert not any(red.num[i][:n])
+                assert not any(red.matrix[i])
+            assert red.consistent == all(not want[i][n]
+                                         for i in range(red.rank, m))
+            seen["deficient"] += red.rank < min(m, n)
+            seen["inconsistent"] += not red.consistent
+            seen["ratio_den"] += not red.den.is_monomial
+        assert all(seen.values()), seen
+
+
+def field_rref(rows, rhs, pivot_cols):
+    """Gauss-Jordan over the series field with the given pivot columns."""
+    a = [list(row) + [b] for row, b in zip(rows, rhs)]
+    for k, c in enumerate(pivot_cols):
+        r = next(r for r in range(k, len(a)) if a[r][c])
+        pivot = a[r]
+        a[r] = a[k]
+        a[k] = [x / pivot[c] for x in pivot]
+        for i in range(len(a)):
+            f = a[i][c]
+            if i != k and f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return a
 
 
 class TestSolveAffine:
