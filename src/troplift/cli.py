@@ -3,13 +3,15 @@
 Exit codes are the machine contract: 0 for a positive verdict, 3 for a
 negative one, 2 for malformed or oversized input, 1 for internal errors.
 check/lift/verify/oracle write a single JSON object to stdout; bench
-writes CSV.
+writes CSV, or JSON when its output path ends in .json.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import random
 import statistics
 import sys
 import time
@@ -31,6 +33,7 @@ from troplift.formats import (
 from troplift.gen import GenConfig, gen_member, gen_point, gen_random
 from troplift.lift import decide, verify_witness
 from troplift.oracle import MAX_ORACLE_COLUMNS, TooLargeError, member_oracle
+from troplift.series import LaurentPolynomial
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -144,6 +147,78 @@ def _cmd_gen(args):
     return EXIT_OK
 
 
+# Multiply sizes (terms, coefficient bits): a small entry, and the largest
+# reduced numerators decide builds on the bench generator at n=25 and n=50.
+KERNEL_SIZES = ((40, 26), (121, 144), (254, 363))
+
+
+def _ms_since(t0):
+    return round((time.perf_counter() - t0) * 1000.0, 3)
+
+
+def _bench_rows(sizes, seed, reps, oracle_max_cols):
+    """decide (and, within the guard, oracle) times on planted instances."""
+    rows = []
+    for n in sizes:
+        m = max(1, n // 2)
+        row = {"n": n, "m": m, "seeds": [], "decide_ms": [], "oracle_ms": []}
+        for rep in range(reps):
+            cfg = GenConfig(seed=seed + 1000 * rep + n, m=m, n=n,
+                            terms_per_entry=3, exp_lo=-5, exp_hi=5,
+                            grid_den=1, coeff_bound=9)
+            inst, point, _ = gen_member(cfg)
+            t0 = time.perf_counter()
+            result = decide(inst, point)
+            row["decide_ms"].append(_ms_since(t0))
+            row["seeds"].append(cfg.seed)
+            if not result.is_member:
+                raise RuntimeError("planted bench point was rejected")
+            if n + 1 <= oracle_max_cols:
+                t0 = time.perf_counter()
+                member_oracle(inst, point, max_cols=oracle_max_cols)
+                row["oracle_ms"].append(_ms_since(t0))
+        rows.append(row)
+    return rows
+
+
+def _loglog_slope(points):
+    """Least-squares slope of log(y) against log(x); None below two points."""
+    if len(points) < 2:
+        return None
+    xs = [math.log(x) for x, _ in points]
+    ys = [math.log(y) for _, y in points]
+    xbar = sum(xs) / len(xs)
+    ybar = sum(ys) / len(ys)
+    return (sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+            / sum((x - xbar) ** 2 for x in xs))
+
+
+def _kernel_timings(seed, budget_s=0.1):
+    """Best-of-3 time of LaurentPolynomial * on seeded dense pairs."""
+    rng = random.Random(seed)
+
+    def operand(terms, bits):
+        return LaurentPolynomial.from_terms(
+            {i: rng.choice((1, -1)) * (rng.getrandbits(bits - 1)
+                                        | 1 << (bits - 1))
+             for i in range(terms)})
+
+    out = []
+    for terms, bits in KERNEL_SIZES:
+        a, b = operand(terms, bits), operand(terms, bits)
+        best = math.inf
+        for _ in range(3):
+            calls = 0
+            t0 = time.perf_counter()
+            while time.perf_counter() - t0 < budget_s:
+                a * b
+                calls += 1
+            best = min(best, (time.perf_counter() - t0) / calls)
+        out.append({"op": "LaurentPolynomial.__mul__", "terms": terms,
+                    "bits": bits, "ms": round(best * 1000.0, 4)})
+    return out
+
+
 def _cmd_bench(args):
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
@@ -154,29 +229,32 @@ def _cmd_bench(args):
         raise FormatError("sizes must be positive", "bench --sizes")
     if args.reps < 1:
         raise FormatError("reps must be positive", "bench --reps")
+    rows = _bench_rows(sizes, args.seed, args.reps, args.oracle_max_cols)
+    if args.output and args.output.endswith(".json"):
+        for row in rows:
+            row["decide_ms_median"] = statistics.median(row["decide_ms"])
+            row["oracle_ms_median"] = (statistics.median(row["oracle_ms"])
+                                       if row["oracle_ms"] else None)
+        report = {
+            "generator": {"m": "max(1, n // 2)", "terms_per_entry": 3,
+                          "exp_lo": -5, "exp_hi": 5, "coeff_bound": 9,
+                          "seed": "%d + 1000*rep + n" % args.seed},
+            "rows": rows,
+            "loglog_slope": _loglog_slope(
+                [(r["n"], r["decide_ms_median"]) for r in rows]),
+            "kernels": _kernel_timings(args.seed),
+        }
+        with open(args.output, "w") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+        return EXIT_OK
     lines = ["n,m,decide_ms,oracle_ms"]
-    for n in sizes:
-        m = max(1, n // 2)
-        decide_times = []
-        oracle_times = []
-        for rep in range(args.reps):
-            cfg = GenConfig(seed=args.seed + 1000 * rep + n, m=m, n=n,
-                            terms_per_entry=3, exp_lo=-5, exp_hi=5,
-                            grid_den=1, coeff_bound=9)
-            inst, point, _ = gen_member(cfg)
-            t0 = time.perf_counter()
-            result = decide(inst, point)
-            decide_times.append((time.perf_counter() - t0) * 1000.0)
-            if not result.is_member:
-                raise RuntimeError("planted bench point was rejected")
-            if n + 1 <= args.oracle_max_cols:
-                t0 = time.perf_counter()
-                member_oracle(inst, point, max_cols=args.oracle_max_cols)
-                oracle_times.append((time.perf_counter() - t0) * 1000.0)
-        decide_ms = "%.3f" % statistics.median(decide_times)
-        oracle_ms = ("%.3f" % statistics.median(oracle_times)
-                     if oracle_times else "skipped")
-        lines.append("%d,%d,%s,%s" % (n, m, decide_ms, oracle_ms))
+    for row in rows:
+        oracle_ms = ("%.3f" % statistics.median(row["oracle_ms"])
+                     if row["oracle_ms"] else "skipped")
+        lines.append("%d,%d,%.3f,%s" % (row["n"], row["m"],
+                                        statistics.median(row["decide_ms"]),
+                                        oracle_ms))
     table = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
@@ -241,7 +319,9 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--oracle-max-cols", type=int, default=MAX_ORACLE_COLUMNS)
-    p.add_argument("-o", "--output", help="CSV output path (default stdout)")
+    p.add_argument("-o", "--output",
+                   help="output path; JSON when it ends in .json, else CSV "
+                        "(default: CSV on stdout)")
     p.set_defaults(func=_cmd_bench)
     return parser
 

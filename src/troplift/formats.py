@@ -12,7 +12,7 @@ import math
 import re
 from fractions import Fraction
 
-from troplift.lift import Instance
+from troplift.lift import Instance, OversizedEntry
 from troplift.series import INF, LaurentPolynomial, PuiseuxFraction
 
 __all__ = [
@@ -139,7 +139,10 @@ def parse_instance(obj):
         raise FormatError("declared m does not match A", "instance.m")
     if "n" in obj and _parse_int(obj["n"], "instance.n", 1) != len(rows[0]):
         raise FormatError("declared n does not match A", "instance.n")
-    return Instance.from_rows(rows, rhs)
+    try:
+        return Instance.from_rows(rows, rhs)
+    except OversizedEntry as exc:
+        raise FormatError(exc.reason, "instance." + exc.location) from exc
 
 
 def serialize_instance(inst):

@@ -72,9 +72,34 @@ STAGE_EMPTY_CLASS = "EmptyClassWithRhs"
 STAGE_SYSTEM3 = "System3Infeasible"
 STAGE_FAMILY_L = "FamilyLVanishes"
 
+# Largest exponent span, in steps of the instance's common grid, that the
+# numerator or denominator of one entry may cover.  Dense coefficient
+# lists are sized by such spans.  Counting steps of the common grid also
+# catches nearly coprime entry grids, which the regrid would blow up.
+MAX_GRID_SPAN = 10_000
+
 
 class LiftInternalError(RuntimeError):
     """An invariant the algorithm guarantees was violated; always a defect."""
+
+
+class OversizedEntry(ValueError):
+    """An entry spans more than MAX_GRID_SPAN steps of the common grid."""
+
+    def __init__(self, location, span, q):
+        self.location = location  # "A[i][j]" or "b[i]"
+        self.reason = ("spans %d steps of the common grid t^(1/%d); the "
+                       "limit is %d" % (span, q, MAX_GRID_SPAN))
+        super().__init__("%s %s" % (location, self.reason))
+
+
+def _grid_span(x, q):
+    """Grid steps spanned by x's numerator or denominator, whichever is more."""
+    span = 0
+    for p in (x.num, x.den):
+        if len(p.coeffs) > 1:
+            span = max(span, (max(p.coeffs) - min(p.coeffs)) * (q // p.q))
+    return span
 
 
 def _as_scalar(x):
@@ -112,7 +137,18 @@ class Instance:
             raise ValueError("ragged matrix")
         if len(rhs) != len(rows):
             raise ValueError("rhs length does not match row count")
-        return cls(rows, rhs)
+        inst = cls(rows, rhs)
+        q = inst.grid_den()
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                span = _grid_span(x, q)
+                if span > MAX_GRID_SPAN:
+                    raise OversizedEntry("A[%d][%d]" % (i, j), span, q)
+        for i, x in enumerate(rhs):
+            span = _grid_span(x, q)
+            if span > MAX_GRID_SPAN:
+                raise OversizedEntry("b[%d]" % i, span, q)
+        return inst
 
     @property
     def m(self):

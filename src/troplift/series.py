@@ -15,6 +15,10 @@ from functools import reduce
 
 INF = float("inf")
 
+# Products whose shorter factor has fewer terms than this stay on the
+# dict double loop, which beats packing at that size.
+KRONECKER_MIN_TERMS = 8
+
 __all__ = [
     "INF",
     "LaurentPolynomial",
@@ -208,26 +212,11 @@ class LaurentPolynomial:
         q = math.lcm(self.q, other.q)
         a = self._on_grid(q)
         b = other._on_grid(q)
-        la, lb = len(a), len(b)
-        if la > lb:
+        if len(a) > len(b):
             a, b = b, a
-            la, lb = lb, la
-        spread_a = max(a) - min(a) + 1
-        spread_b = max(b) - min(b) + 1
-        if spread_b <= 3 * lb:
-            # dense path: list convolution, iterating the sparser factor
-            lo_a, lo_b = min(a), min(b)
-            vb = [0] * spread_b
-            for k, v in b.items():
-                vb[k - lo_b] = v
-            conv = [0] * (spread_a + spread_b - 1)
-            for ka, ca in a.items():
-                base = ka - lo_a
-                for j, cb in enumerate(vb):
-                    if cb:
-                        conv[base + j] += ca * cb
-            lo = lo_a + lo_b
-            out = {lo + i: c for i, c in enumerate(conv) if c}
+        if (len(a) >= KRONECKER_MIN_TERMS and _is_dense(a)
+                and _is_dense(b)):
+            out = _kronecker_mul(a, b)
         else:
             out = {}
             get = out.get
@@ -235,7 +224,6 @@ class LaurentPolynomial:
                 for kb, cb in b.items():
                     k = ka + kb
                     out[k] = get(k, 0) + ca * cb
-                get = out.get
         return LaurentPolynomial._normalized(q, out, self.content * other.content)
 
     __rmul__ = __mul__
@@ -322,6 +310,59 @@ def _dense(coeffs):
     for k, v in coeffs.items():
         out[k - lo] = v
     return out, lo
+
+
+def _is_dense(coeffs):
+    """True when the exponent spread is under 3x the term count."""
+    return max(coeffs) - min(coeffs) < 3 * len(coeffs)
+
+
+def _pack(coeffs, lo, nb):
+    """Value at t = 2**(8*nb) of sum c*t**(k-lo), packed through bytes.
+
+    Positive and negative coefficients fill separate byte strings, so
+    each is one linear-time join and one int.from_bytes.
+    """
+    zero = bytes(nb)
+    pos = [zero] * (max(coeffs) - lo + 1)
+    neg = list(pos)
+    for k, c in coeffs.items():
+        if c > 0:
+            pos[k - lo] = c.to_bytes(nb, "little")
+        else:
+            neg[k - lo] = (-c).to_bytes(nb, "little")
+    return (int.from_bytes(b"".join(pos), "little")
+            - int.from_bytes(b"".join(neg), "little"))
+
+
+def _kronecker_mul(a, b):
+    """Product of two grid-keyed integer tables by Kronecker substitution.
+
+    Both tables are evaluated at t = 2**(8*nb) and multiplied as two
+    integers; the product is read back as signed nb-byte digits.  No
+    product coefficient exceeds max|a| * max|b| * min(len(a), len(b)) in
+    absolute value, and nb leaves that bound a sign bit to spare, so the
+    digits never overlap.
+    """
+    bound = (max(map(abs, a.values())) * max(map(abs, b.values()))
+             * min(len(a), len(b)))
+    nb = bound.bit_length() // 8 + 1
+    lo_a, lo_b = min(a), min(b)
+    slots = max(a) - lo_a + max(b) - lo_b + 1
+    product = _pack(a, lo_a, nb) * _pack(b, lo_b, nb)
+    # adding half a digit to every slot makes each digit nonnegative, so
+    # the bytes of the sum are the digits with no borrows between them
+    half = 1 << (8 * nb - 1)
+    offset = int.from_bytes(half.to_bytes(nb, "little") * slots, "little")
+    data = (product + offset).to_bytes(nb * slots, "little")
+    from_bytes = int.from_bytes
+    lo = lo_a + lo_b
+    out = {}
+    for i in range(slots):
+        c = from_bytes(data[i * nb:(i + 1) * nb], "little") - half
+        if c:
+            out[lo + i] = c
+    return out
 
 
 def _trim(p):

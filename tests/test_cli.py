@@ -1,6 +1,7 @@
 """Tests for the JSON formats and the command-line contract."""
 
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +17,7 @@ from troplift.formats import (
     serialize_point,
     serialize_witness,
 )
-from troplift.lift import Instance
+from troplift.lift import MAX_GRID_SPAN, Instance
 from troplift.series import INF, LaurentPolynomial, PuiseuxFraction
 
 
@@ -98,6 +99,27 @@ class TestInstanceFormat:
         with pytest.raises(FormatError):
             parse_instance({"q": 1, "A": [[{"num": [[0, "1/0"]]}]],
                             "b": [{"num": []}]})
+
+    def test_span_budget_locates_the_entry(self):
+        one = {"num": [[0, "1"]]}
+        wide = {"num": [[0, "1"], [MAX_GRID_SPAN + 1, "1"]]}
+        with pytest.raises(FormatError) as exc:
+            parse_instance({"A": [[one, one]], "b": [wide]})
+        assert exc.value.location == "instance.b[0]"
+        # spans count steps of the common grid: q = 10^6 and 10^6+1 put a
+        # one-step entry 10^6+1 steps wide on the shared grid
+        near = {"q": 10**6, "num": [[0, "1"], [1, "1"]]}
+        coprime = {"q": 10**6 + 1, "num": [[1, "1"]]}
+        with pytest.raises(FormatError) as exc:
+            parse_instance({"A": [[one, one], [coprime, near]],
+                            "b": [one, one]})
+        assert exc.value.location == "instance.A[1][1]"
+        # on its own grid the same entry is far inside the budget
+        inst = parse_instance({"A": [[near]], "b": [one]})
+        assert inst.matrix[0][0] == px({0: 1, F(1, 10**6): 1})
+        with pytest.raises(ValueError):
+            Instance.from_rows([[px({0: 1, MAX_GRID_SPAN + 1: 1})]], [ONE])
+        assert Instance.from_rows([[px({0: 1, MAX_GRID_SPAN: 1})]], [ONE])
 
 
 class TestPointAndWitnessFormats:
@@ -183,6 +205,17 @@ class TestCliContract:
         err = capsys.readouterr().err
         assert "A[0][0]" in err
 
+    def test_oversized_exponent_exits_2_fast(self, tmp_path, capsys):
+        inst = tmp_path / "big.json"
+        inst.write_text('{"A":[[{"num":[[0,"1"],[3000000,"1"]]},'
+                        '{"num":[[0,"2"],[1,"1"]]}]],"b":[{"num":[[0,"1"]]}]}')
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({"v": ["0", "0"]}))
+        t0 = time.perf_counter()
+        assert main(["check", "-i", str(inst), "-p", str(p)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "instance.A[0][0]" in capsys.readouterr().err
+
     def test_missing_file(self, files):
         tmp, inst, point = files
         assert main(["check", "-i", str(tmp / "nope.json"),
@@ -246,6 +279,22 @@ class TestCliContract:
             n, m, decide_ms, oracle_ms = line.split(",")
             assert float(decide_ms) >= 0
             assert oracle_ms != "skipped"
+
+    def test_bench_json(self, tmp_path):
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--sizes", "3,4,6", "--seed", "2", "--reps",
+                     "2", "--oracle-max-cols", "0", "-o", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert [row["n"] for row in report["rows"]] == [3, 4, 6]
+        for row in report["rows"]:
+            assert len(row["decide_ms"]) == len(row["seeds"]) == 2
+            assert min(row["decide_ms"]) <= row["decide_ms_median"] \
+                <= max(row["decide_ms"])
+            assert row["oracle_ms_median"] is None
+        assert isinstance(report["loglog_slope"], float)
+        assert [(k["terms"], k["bits"]) for k in report["kernels"]] == [
+            (40, 26), (121, 144), (254, 363)]
+        assert all(k["ms"] > 0 for k in report["kernels"])
 
     @pytest.mark.parametrize("reps", ["0", "-2"])
     def test_bench_rejects_nonpositive_reps(self, reps, capsys):

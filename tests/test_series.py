@@ -7,6 +7,7 @@ import pytest
 
 from troplift.series import (
     INF,
+    KRONECKER_MIN_TERMS,
     LaurentPolynomial,
     PuiseuxFraction,
     coefficient_at,
@@ -299,3 +300,91 @@ class TestFieldProperties:
             if a == s:
                 continue
             assert valuation(a - s) > bound
+
+
+def schoolbook(a, b):
+    """Reference product built term by term from the two term lists."""
+    out = {}
+    for ea, ca in a.terms():
+        for eb, cb in b.terms():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return LaurentPolynomial.from_terms(out)
+
+
+def spaced(coeffs, gap=1, q=1, start=0, content=1):
+    """content * sum coeffs[i] * t**((start + gap*i)/q), zeros skipped."""
+    return LaurentPolynomial.from_terms(
+        {F(start + gap * i, q): content * c
+         for i, c in enumerate(coeffs) if c})
+
+
+class TestMultiply:
+    """Every product equals the schoolbook reference, on both sides of the
+    Kronecker rules: shorter factor under KRONECKER_MIN_TERMS, and either
+    factor's exponent spread at least 3x its term count."""
+
+    @staticmethod
+    def check(a, b):
+        want = schoolbook(a, b)
+        for got in (a * b, b * a):
+            assert (got.q, got.content, got.coeffs) == (
+                want.q, want.content, want.coeffs)
+            assert got == want and hash(got) == hash(want)
+
+    def test_seeded_pairs_match_schoolbook(self):
+        rng = random.Random(61)
+        packed = 0
+        for _ in range(400):
+            ops = []
+            for _ in range(2):
+                terms = rng.choice((1, 2, 5, 7, 8, 9, 12, 30))
+                bits = rng.choice((1, 4, 30, 64, 200))
+                coeffs = [rng.randint(-(1 << bits), 1 << bits)
+                          for _ in range(terms)]
+                coeffs[0] = coeffs[0] or 1
+                content = F(rng.choice((-3, 1, 2, 7)), rng.choice((1, 5, 12)))
+                ops.append(spaced(coeffs, gap=rng.choice((1, 1, 2, 3, 4, 9)),
+                                  q=rng.choice((1, 2, 3)),
+                                  start=rng.randint(-20, 20), content=content))
+            a, b = ops
+            self.check(a, b)
+            if min(len(a.coeffs), len(b.coeffs)) >= KRONECKER_MIN_TERMS:
+                packed += all(max(p.coeffs) - min(p.coeffs) < 3 * len(p.coeffs)
+                              for p in (a, b))
+        assert packed >= 40
+
+    def test_digit_boundary_coefficients(self):
+        edges = (1 << 63) - 1, -((1 << 63) - 1), -(1 << 63), 1 << 127
+        rng = random.Random(62)
+        for _ in range(60):
+            coeffs = [rng.choice(edges + (0, 1, -1, 5)) for _ in range(2, 20)]
+            for c in edges:
+                a = spaced([1, c] + coeffs[:rng.randint(6, 18)])
+                b = spaced([c] * 9 + [-1], start=rng.randint(-3, 3))
+                self.check(a, b)
+                self.check(a, a)
+
+    def test_product_bound_on_byte_boundary(self):
+        # a = k ones against a run of M's: the middle coefficients reach
+        # the bound max|a|*max|b|*min(terms) = k*M exactly
+        for k, M in ((127, 1), (8, 16), (31, 1057), (8, 1 << 12),
+                     (49, ((1 << 63) - 1) // 49), (8, 1 << 60)):
+            for sign in (1, -1):
+                a = spaced([sign] * k)
+                b = spaced([1] + [M] * (k + 3))
+                self.check(a, b)
+                assert max(map(abs, (a * b).coeffs.values())) == k * M
+
+    def test_monomials_and_sparse_gaps(self):
+        rng = random.Random(63)
+        for _ in range(80):
+            mono = spaced([rng.randint(-9, 9) or 1], start=rng.randint(-9, 9),
+                          q=rng.choice((1, 4)), content=F(1, 3))
+            dense = spaced([rng.randint(-99, 99) for _ in range(20)],
+                           start=-5)
+            holes = spaced([rng.choice((0, 0, rng.randint(-9, 9)))
+                            for _ in range(40)] + [1], q=2)
+            far = spaced([3] + [0] * 500 + [rng.randint(1, 9)] * 10)
+            for a, b in ((mono, dense), (dense, holes), (holes, holes),
+                         (far, dense), (far, far)):
+                self.check(a, b)
