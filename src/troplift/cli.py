@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import random
 import statistics
 import sys
@@ -31,9 +32,9 @@ from troplift.formats import (
     serialize_witness,
 )
 from troplift.gen import GenConfig, gen_member, gen_point, gen_random
-from troplift.lift import decide, verify_witness
+from troplift.lift import OversizedEntry, decide, verify_witness
 from troplift.oracle import MAX_ORACLE_COLUMNS, TooLargeError, member_oracle
-from troplift.series import LaurentPolynomial
+from troplift.series import LaurentPolynomial, laurent_divexact
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -69,7 +70,10 @@ def _cmd_check(args):
                               "--expand")
     inst, point, parse_ms = _load_problem(args)
     t0 = time.perf_counter()
-    result = decide(inst, point)
+    try:
+        result = decide(inst, point)
+    except OversizedEntry as exc:
+        raise FormatError(exc.reason, "point." + exc.location) from exc
     decide_ms = (time.perf_counter() - t0) * 1000.0
     out = {"verdict": "member" if result.is_member else "not_member"}
     if result.is_member:
@@ -147,8 +151,9 @@ def _cmd_gen(args):
     return EXIT_OK
 
 
-# Multiply sizes (terms, coefficient bits): a small entry, and the largest
-# reduced numerators decide builds on the bench generator at n=25 and n=50.
+# Kernel operand sizes (terms, coefficient bits): a small entry, and the
+# largest reduced numerators decide builds on the bench generator at n=25
+# and n=50.
 KERNEL_SIZES = ((40, 26), (121, 144), (254, 363))
 
 
@@ -194,7 +199,10 @@ def _loglog_slope(points):
 
 
 def _kernel_timings(seed, budget_s=0.1):
-    """Best-of-3 time of LaurentPolynomial * on seeded dense pairs."""
+    """Best-of-3 times of the Laurent kernels on seeded dense pairs (a, b).
+
+    The multiply times a * b; the exact divide splits that product by b.
+    """
     rng = random.Random(seed)
 
     def operand(terms, bits):
@@ -203,20 +211,25 @@ def _kernel_timings(seed, budget_s=0.1):
                                         | 1 << (bits - 1))
              for i in range(terms)})
 
-    out = []
-    for terms, bits in KERNEL_SIZES:
-        a, b = operand(terms, bits), operand(terms, bits)
+    def best_ms(op, *args):
         best = math.inf
         for _ in range(3):
             calls = 0
             t0 = time.perf_counter()
             while time.perf_counter() - t0 < budget_s:
-                a * b
+                op(*args)
                 calls += 1
             best = min(best, (time.perf_counter() - t0) / calls)
-        out.append({"op": "LaurentPolynomial.__mul__", "terms": terms,
-                    "bits": bits, "ms": round(best * 1000.0, 4)})
-    return out
+        return round(best * 1000.0, 4)
+
+    pairs = [(terms, bits, operand(terms, bits), operand(terms, bits))
+             for terms, bits in KERNEL_SIZES]
+    return ([{"op": "LaurentPolynomial.__mul__", "terms": terms, "bits": bits,
+              "ms": best_ms(operator.mul, a, b)}
+             for terms, bits, a, b in pairs]
+            + [{"op": "laurent_divexact", "terms": terms, "bits": bits,
+                "ms": best_ms(laurent_divexact, a * b, b)}
+               for terms, bits, a, b in pairs])
 
 
 def _cmd_bench(args):

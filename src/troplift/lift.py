@@ -35,6 +35,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 
 from troplift.linalg import (
     AffineSpace,
@@ -72,10 +74,13 @@ STAGE_EMPTY_CLASS = "EmptyClassWithRhs"
 STAGE_SYSTEM3 = "System3Infeasible"
 STAGE_FAMILY_L = "FamilyLVanishes"
 
-# Largest exponent span, in steps of the instance's common grid, that the
-# numerator or denominator of one entry may cover.  Dense coefficient
-# lists are sized by such spans.  Counting steps of the common grid also
-# catches nearly coprime entry grids, which the regrid would blow up.
+# Largest exponent, in absolute value and in steps of the instance's
+# common grid t^(1/Q), that the numerator or denominator of an entry, or a
+# finite coordinate of the target point, may reach.  Dense coefficient
+# lists are sized by exponent spans, which this keeps within a small
+# multiple of the limit, the point's column scaling included.  It also
+# caps the regrid: a nonconstant entry on grid q has a nonzero exponent,
+# at least Q/q steps from 0.
 MAX_GRID_SPAN = 10_000
 
 
@@ -84,22 +89,32 @@ class LiftInternalError(RuntimeError):
 
 
 class OversizedEntry(ValueError):
-    """An entry spans more than MAX_GRID_SPAN steps of the common grid."""
+    """An entry or a point coordinate reaches past MAX_GRID_SPAN grid steps."""
 
-    def __init__(self, location, span, q):
-        self.location = location  # "A[i][j]" or "b[i]"
-        self.reason = ("spans %d steps of the common grid t^(1/%d); the "
-                       "limit is %d" % (span, q, MAX_GRID_SPAN))
+    def __init__(self, location, steps, q):
+        self.location = location  # "A[i][j]", "b[i]" or "v[j]"
+        self.reason = ("has an exponent %s steps of the common grid t^(1/%d) "
+                       "from 0; the limit is %d" % (steps, q, MAX_GRID_SPAN))
         super().__init__("%s %s" % (location, self.reason))
 
 
-def _grid_span(x, q):
-    """Grid steps spanned by x's numerator or denominator, whichever is more."""
-    span = 0
+def _grid_reach(x, q):
+    """Largest |exponent| of x's numerator or denominator, in steps of t^(1/q)."""
+    reach = 0
     for p in (x.num, x.den):
-        if len(p.coeffs) > 1:
-            span = max(span, (max(p.coeffs) - min(p.coeffs)) * (q // p.q))
-    return span
+        if p.coeffs:
+            reach = max(reach, max(-min(p.coeffs), max(p.coeffs)) * (q // p.q))
+    return reach
+
+
+def _enforce_budget(reaches, q):
+    """Raise OversizedEntry at the farthest of (steps, format, args) triples.
+
+    Ties go to the first, so the location is the earliest of the worst.
+    """
+    steps, fmt, args = max(reaches, key=itemgetter(0), default=(0, "", ()))
+    if steps > MAX_GRID_SPAN:
+        raise OversizedEntry(fmt % args, steps, q)
 
 
 def _as_scalar(x):
@@ -139,15 +154,11 @@ class Instance:
             raise ValueError("rhs length does not match row count")
         inst = cls(rows, rhs)
         q = inst.grid_den()
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                span = _grid_span(x, q)
-                if span > MAX_GRID_SPAN:
-                    raise OversizedEntry("A[%d][%d]" % (i, j), span, q)
-        for i, x in enumerate(rhs):
-            span = _grid_span(x, q)
-            if span > MAX_GRID_SPAN:
-                raise OversizedEntry("b[%d]" % i, span, q)
+        _enforce_budget(chain(
+            ((_grid_reach(x, q), "A[%d][%d]", (i, j))
+             for i, row in enumerate(rows) for j, x in enumerate(row)),
+            ((_grid_reach(x, q), "b[%d]", (i,)) for i, x in enumerate(rhs))),
+            q)
         return inst
 
     @property
@@ -247,11 +258,17 @@ class StripResult:
 
 
 def strip_infinite(inst, v):
-    """Delete columns whose target valuation is INF, pinning them to x_j = 0."""
+    """Delete columns whose target valuation is INF, pinning them to x_j = 0.
+
+    A finite coordinate past MAX_GRID_SPAN steps raises OversizedEntry.
+    """
     v = as_point(v)
     if len(v) != inst.n:
         raise ValueError("point length %d does not match %d columns"
                          % (len(v), inst.n))
+    q = inst.grid_den()
+    _enforce_budget(((abs(c) * q, "v[%d]", (j,))
+                     for j, c in enumerate(v) if c != INF), q)
     kept = tuple(j for j, c in enumerate(v) if c != INF)
     if len(kept) == inst.n:
         return StripResult(inst, v, kept, {})

@@ -1,17 +1,22 @@
 """Exact linear algebra: one fraction-free elimination kernel, used twice.
 
-The kernel is Gauss-Jordan elimination in the style of Bareiss
-("Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968): cross-multiplied row updates over an
-integral domain, each divided exactly by the previous pivot.  It runs on
-Python ints for the rational coefficient system, after each row is
-cleared to integers, and on Laurent polynomials for the series system,
-after each row is cleared of its denominators.  Correctness requires every
-division to be exact: `laurent_divexact` raises ArithmeticError
-otherwise.  When elimination ends, every pivot row carries the same pivot
-D, so each reduced entry is N/D.  `rref_solve` returns the numerator rows
-N and D themselves, and builds a reduced entry N/D only when a caller
-reads `matrix` or `rhs`; `kernel_basis` returns its vectors scaled by D.
+The kernel reduces an augmented system over an integral domain in two
+fraction-free passes (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968; Nakos,
+Turner and Williams, "Fraction-free algorithms for linear and polynomial
+equations", SIGSAM Bull. 31(3), 1997).  Forward elimination updates only
+the rows below each pivot, by cross-multiplication divided exactly by the
+previous pivot; back substitution then brings each earlier pivot row to
+the last pivot D, dividing exactly by the row's own pivot.  Every entry
+either pass divides out is a minor of the input, so every division is
+exact.  The kernel runs on Python ints for the rational coefficient
+system, after each row is cleared to integers, and on Laurent polynomials
+for the series system, after each row is cleared of its denominators;
+`laurent_divexact` raises ArithmeticError on an inexact division.  When
+elimination ends, every pivot row carries the same pivot D, so each
+reduced entry is N/D.  `rref_solve` returns the numerator rows N and D
+themselves, and builds a reduced entry N/D only when a caller reads
+`matrix` or `rhs`; `kernel_basis` returns its vectors scaled by D.
 """
 
 from __future__ import annotations
@@ -153,21 +158,33 @@ class LinearForm:
 
 
 def _bareiss(rows, ncols, key, divexact):
-    """Fraction-free Gauss-Jordan elimination of augmented rows, in place.
+    """Fraction-free reduction of augmented rows to reduced row form, in place.
 
-    Each row holds `ncols` coefficients followed by its right-hand side,
-    all in an integral domain.  The pivot is the nonzero coefficient with
-    the smallest (key(x), column, row) among the rows not used yet.  Every
-    update (piv*a - f*b) / prev is exact, because each entry is a minor of
-    the input (Sylvester's identity), and `divexact` must return that
-    exact quotient.  Returns the pivot columns.  Afterwards row i carries
-    the common pivot D in column pivot_cols[i] and zero in every other
-    pivot column, and the rows past the rank are zero but for their
-    right-hand sides.
+    Each row holds `ncols` coefficients, optionally followed by its
+    right-hand side, all in an integral domain.  Two passes:
+
+    - Forward elimination.  Step k takes as pivot D_k the nonzero
+      coefficient with the smallest (key(x), column, row) among the rows
+      not used yet, swaps its row into place k, and replaces every row
+      below by (D_k*a - f*b) / D_(k-1), undivided at k = 0.  Each updated
+      entry is a minor of the input (Sylvester's identity), so the
+      division is exact.
+    - Back substitution.  With rank r and D = D_(r-1), row r-1 is already
+      final.  Pivot row i = r-2, ..., 0, holding U[i] from the forward
+      pass, becomes D in its own pivot column c_i, zero in the other pivot
+      columns and, in each other column f,
+      N[i][f] = (D*U[i][f] - sum_(j>i) U[i][c_j]*N[j][f]) / D_i.
+      N[i][f] is the minor of the pivot rows in the pivot columns with
+      c_i replaced by f (Cramer's rule), so this division is exact too.
+
+    `divexact` must return the exact quotient.  Returns the pivot columns.
+    Afterwards row i < r carries D in column pivot_cols[i] and zero in
+    every other pivot column, so its reduced entries are N[i][j]/D, and
+    the rows past the rank are zero but for their right-hand sides.
     """
     m = len(rows)
     pivot_cols = []
-    prev = None
+    pivots = []
     for rank in range(min(m, ncols)):
         best = None
         for c in range(ncols):
@@ -185,16 +202,36 @@ def _bareiss(rows, ncols, key, divexact):
         rows[rank], rows[r] = rows[r], rows[rank]
         prow = rows[rank]
         piv = prow[c]
-        for i, row in enumerate(rows):
-            if i == rank:
-                continue
+        prev = pivots[-1] if pivots else None
+        for i in range(rank + 1, m):
+            row = rows[i]
             f = row[c]
             new = ([piv * a - f * b for a, b in zip(row, prow)] if f
                    else [piv * a for a in row])
             rows[i] = new if prev is None else [divexact(x, prev) if x else x
                                                 for x in new]
-        prev = piv
+        pivots.append(piv)
         pivot_cols.append(c)
+    rank = len(pivot_cols)
+    if rank < 2:
+        return pivot_cols
+    d = pivots[-1]
+    zero = d - d
+    width = len(rows[0])
+    others = [f for f in range(width) if f not in pivot_cols]
+    for i in range(rank - 2, -1, -1):
+        row = rows[i]
+        new = [zero] * width
+        new[pivot_cols[i]] = d
+        for f in others:
+            acc = d * row[f] if row[f] else zero
+            for j in range(i + 1, rank):
+                u = row[pivot_cols[j]]
+                x = rows[j][f]
+                if u and x:
+                    acc = acc - u * x
+            new[f] = divexact(acc, pivots[i]) if acc else acc
+        rows[i] = new
     return pivot_cols
 
 

@@ -216,6 +216,40 @@ class TestCliContract:
         assert time.perf_counter() - t0 < 1.0
         assert "instance.A[0][0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entries, v, location", [
+        # a huge point coordinate against a tiny instance
+        ([["1 + t", "2 + t"]], ["0", "3000000"], "point.v[1]"),
+        # monomials on nearly coprime grids: each spans 0 steps, but the
+        # common grid is about 10^12 and t^(1/10^6) sits 10^6+1 steps out
+        ([["t^(1/1000000)", "t^(1/1000001)"], ["1", "2"]], ["0", "0"],
+         "instance.A[0][0]"),
+        # a monomial far from exponent 0, also of span 0
+        ([["t^3000000", "2 + t"], ["1", "3"]], ["0", "0"],
+         "instance.A[0][0]"),
+    ])
+    def test_exponent_budget_exits_2_fast(self, tmp_path, capsys, entries, v,
+                                          location):
+        scalars = {
+            "1": {"num": [[0, "1"]]},
+            "2": {"num": [[0, "2"]]},
+            "3": {"num": [[0, "3"]]},
+            "1 + t": {"num": [[0, "1"], [1, "1"]]},
+            "2 + t": {"num": [[0, "2"], [1, "1"]]},
+            "t^3000000": {"num": [[3000000, "1"]]},
+            "t^(1/1000000)": {"q": 10**6, "num": [[1, "1"]]},
+            "t^(1/1000001)": {"q": 10**6 + 1, "num": [[1, "1"]]},
+        }
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({
+            "A": [[scalars[x] for x in row] for row in entries],
+            "b": [scalars["1"]] * len(entries)}))
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({"v": v}))
+        t0 = time.perf_counter()
+        assert main(["check", "-i", str(inst), "-p", str(p)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "input error: %s:" % location in capsys.readouterr().err
+
     def test_missing_file(self, files):
         tmp, inst, point = files
         assert main(["check", "-i", str(tmp / "nope.json"),
@@ -292,8 +326,11 @@ class TestCliContract:
                 <= max(row["decide_ms"])
             assert row["oracle_ms_median"] is None
         assert isinstance(report["loglog_slope"], float)
-        assert [(k["terms"], k["bits"]) for k in report["kernels"]] == [
-            (40, 26), (121, 144), (254, 363)]
+        assert [(k["op"], k["terms"], k["bits"])
+                for k in report["kernels"]] == [
+            (op, terms, bits)
+            for op in ("LaurentPolynomial.__mul__", "laurent_divexact")
+            for terms, bits in ((40, 26), (121, 144), (254, 363))]
         assert all(k["ms"] > 0 for k in report["kernels"])
 
     @pytest.mark.parametrize("reps", ["0", "-2"])

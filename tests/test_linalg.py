@@ -1,5 +1,6 @@
 """Tests for exact elimination over both scalar fields."""
 
+import operator
 import random
 from fractions import Fraction as F
 
@@ -8,13 +9,21 @@ import pytest
 from troplift.linalg import (
     LinearForm,
     Matrix,
+    _bareiss,
+    _clear_denominators,
+    _poly_key,
     kernel_basis,
     rref_solve,
     solve_affine,
     vanishes_identically,
     whole_space,
 )
-from troplift.series import LaurentPolynomial, PuiseuxFraction, shared_expansions
+from troplift.series import (
+    LaurentPolynomial,
+    PuiseuxFraction,
+    laurent_divexact,
+    shared_expansions,
+)
 
 
 def px(terms):
@@ -221,6 +230,119 @@ def field_rref(rows, rhs, pivot_cols):
             if i != k and f:
                 a[i] = [x - f * y for x, y in zip(a[i], a[k])]
     return a
+
+
+def gauss_jordan_bareiss(rows, ncols, key, divexact):
+    """One-pass fraction-free Gauss-Jordan: the reference for `_bareiss`.
+
+    Same pivot rule and row swaps, but each step also updates the rows
+    that already hold a pivot, so it ends with the reduced numerators
+    directly.
+    """
+    m = len(rows)
+    pivot_cols = []
+    prev = None
+    for rank in range(min(m, ncols)):
+        best = None
+        for c in range(ncols):
+            if c in pivot_cols:
+                continue
+            for r in range(rank, m):
+                x = rows[r][c]
+                if x:
+                    k = (key(x), c, r)
+                    if best is None or k < best:
+                        best = k
+        if best is None:
+            break
+        _, c, r = best
+        rows[rank], rows[r] = rows[r], rows[rank]
+        prow = rows[rank]
+        piv = prow[c]
+        for i, row in enumerate(rows):
+            if i == rank:
+                continue
+            f = row[c]
+            new = ([piv * a - f * b for a, b in zip(row, prow)] if f
+                   else [piv * a for a in row])
+            rows[i] = new if prev is None else [divexact(x, prev) if x else x
+                                                for x in new]
+        prev = piv
+        pivot_cols.append(c)
+    return pivot_cols
+
+
+def compare_with_gauss_jordan(rows, ncols, key, divexact, seen):
+    """Both kernels on copies of rows: equal pivots and equal rows, entrywise.
+
+    Equal rows mean equal N, equal D (the pivot of row 0), and equal rows
+    past the rank, so equal rank and consistency too.
+    """
+    got = [list(row) for row in rows]
+    want = [list(row) for row in rows]
+    got_cols = _bareiss(got, ncols, key, divexact)
+    assert got_cols == gauss_jordan_bareiss(want, ncols, key, divexact)
+    assert got == want
+    m, rank = len(rows), len(got_cols)
+    seen["rank>=3"] += rank >= 3
+    seen["deficient"] += rank < min(m, ncols)
+    seen["inconsistent"] += any(row[ncols] for row in got[rank:])
+    seen["tall"] += m > ncols
+    seen["wide"] += m < ncols
+    seen["one_row"] += m == 1
+    seen["zero_column"] += any(not any(row[c] for row in rows)
+                               for c in range(ncols))
+
+
+class TestBareissKernel:
+    """Forward elimination plus back substitution against Gauss-Jordan."""
+
+    def test_laurent_rows_match_gauss_jordan(self):
+        rng = random.Random(83)
+        seen = dict.fromkeys(["rank>=3", "deficient", "inconsistent", "tall",
+                              "wide", "one_row", "zero_column", "ratio",
+                              "no_columns"], 0)
+        for _ in range(200):
+            m, n = rng.randint(1, 5), rng.randint(0, 5)
+            rows = [[random_scalar(rng) for _ in range(n)] + [random_scalar(rng)]
+                    for _ in range(m)]
+            if m > 1 and rng.random() < 0.4:
+                lam = random_scalar(rng, zero=False)
+                k = rng.randrange(1, m)
+                rows[k] = [a + lam * b for a, b in zip(rows[0], rows[k - 1])]
+                if rng.random() < 0.5:
+                    rows[k][n] = rows[k][n] + ONE
+            if n and rng.random() < 0.2:
+                c = rng.randrange(n)
+                for row in rows:
+                    row[c] = ZERO
+            seen["ratio"] += any(not x.den.is_one for row in rows for x in row)
+            seen["no_columns"] += n == 0
+            polys = [_clear_denominators(row) for row in rows]
+            compare_with_gauss_jordan(polys, n, _poly_key, laurent_divexact,
+                                      seen)
+        assert all(seen.values()), seen
+
+    def test_integer_rows_match_gauss_jordan(self):
+        rng = random.Random(89)
+        seen = dict.fromkeys(["rank>=3", "deficient", "inconsistent", "tall",
+                              "wide", "one_row", "zero_column"], 0)
+        for _ in range(200):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [[rng.randint(-9, 9) if rng.random() < 0.7 else 0
+                     for _ in range(n + 1)] for _ in range(m)]
+            if m > 1 and rng.random() < 0.4:
+                a, b = rng.sample(range(m), 2)
+                lam = rng.randint(-3, 3)
+                rows[rng.randrange(m)] = [x + lam * y
+                                          for x, y in zip(rows[a], rows[b])]
+            if rng.random() < 0.2:
+                c = rng.randrange(n)
+                for row in rows:
+                    row[c] = 0
+            compare_with_gauss_jordan(rows, n, lambda x: 0, operator.floordiv,
+                                      seen)
+        assert all(seen.values()), seen
 
 
 class TestSolveAffine:
