@@ -74,13 +74,14 @@ STAGE_EMPTY_CLASS = "EmptyClassWithRhs"
 STAGE_SYSTEM3 = "System3Infeasible"
 STAGE_FAMILY_L = "FamilyLVanishes"
 
-# Largest exponent, in absolute value and in steps of the instance's
-# common grid t^(1/Q), that the numerator or denominator of an entry, or a
-# finite coordinate of the target point, may reach.  Dense coefficient
-# lists are sized by exponent spans, which this keeps within a small
-# multiple of the limit, the point's column scaling included.  It also
-# caps the regrid: a nonconstant entry on grid q has a nonzero exponent,
-# at least Q/q steps from 0.
+# Largest exponent, in absolute value and in steps of the common grid
+# t^(1/Q) of the entries and the point's finite coordinates, that the
+# numerator or denominator of an entry, or a finite coordinate of the
+# target point, may reach.  Dense coefficient lists are sized by exponent
+# spans, which this keeps within a small multiple of the limit, the
+# point's column scaling included.  It also caps the regrid: a
+# nonconstant entry on grid q has a nonzero exponent, at least Q/q steps
+# from 0.
 MAX_GRID_SPAN = 10_000
 
 
@@ -93,18 +94,14 @@ class OversizedEntry(ValueError):
 
     def __init__(self, location, steps, q):
         self.location = location  # "A[i][j]", "b[i]" or "v[j]"
-        self.reason = ("has an exponent %s steps of the common grid t^(1/%d) "
+        self.reason = ("puts an exponent %s steps of the common grid t^(1/%d) "
                        "from 0; the limit is %d" % (steps, q, MAX_GRID_SPAN))
         super().__init__("%s %s" % (location, self.reason))
 
 
 def _grid_reach(x, q):
     """Largest |exponent| of x's numerator or denominator, in steps of t^(1/q)."""
-    reach = 0
-    for p in (x.num, x.den):
-        if p.coeffs:
-            reach = max(reach, max(-min(p.coeffs), max(p.coeffs)) * (q // p.q))
-    return reach
+    return max(x.num.reach(q), x.den.reach(q))
 
 
 def _enforce_budget(reaches, q):
@@ -260,15 +257,23 @@ class StripResult:
 def strip_infinite(inst, v):
     """Delete columns whose target valuation is INF, pinning them to x_j = 0.
 
-    A finite coordinate past MAX_GRID_SPAN steps raises OversizedEntry.
+    Coordinate j is charged the reach of the instance and of coordinates
+    0..j on the grid their denominators refine; past MAX_GRID_SPAN steps
+    it raises OversizedEntry.
     """
     v = as_point(v)
     if len(v) != inst.n:
         raise ValueError("point length %d does not match %d columns"
                          % (len(v), inst.n))
     q = inst.grid_den()
-    _enforce_budget(((abs(c) * q, "v[%d]", (j,))
-                     for j, c in enumerate(v) if c != INF), q)
+    reach = max(_grid_reach(x, q) for row in (*inst.matrix, inst.rhs)
+                for x in row)
+    grid, far, steps = q, 0, []
+    for j, c in enumerate(v):
+        if c != INF:
+            grid, far = math.lcm(grid, c.denominator), max(far, abs(c))
+            steps.append((max(reach * (grid // q), far * grid), "v[%d]", (j,)))
+    _enforce_budget(steps, grid)
     kept = tuple(j for j, c in enumerate(v) if c != INF)
     if len(kept) == inst.n:
         return StripResult(inst, v, kept, {})

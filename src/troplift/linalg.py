@@ -140,10 +140,6 @@ class LinearForm:
         items = tuple(sorted((i, c) for i, c in coeffs.items() if c))
         return cls(Fraction(constant), items)
 
-    @property
-    def is_zero_form(self):
-        return not self.coeffs and not self.constant
-
     def evaluate(self, values):
         acc = self.constant
         for i, c in self.coeffs:
@@ -259,7 +255,7 @@ def _nullspace(n, pivot_cols, neg_entry, zero, scale):
 def _poly_key(p):
     # smallest |valuation| first to keep expansion orders near zero, then
     # sparsest entry to limit fill-in
-    return abs(p.valuation()), len(p.coeffs)
+    return abs(p.valuation()), p.term_count
 
 
 def _clear_denominators(entries):

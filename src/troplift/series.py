@@ -5,6 +5,10 @@ coefficients.  This field is closed under the four operations, carries an
 exact valuation (the lowest exponent), and supports coefficient extraction
 to any order, which is all the series machinery the lifting algorithm
 needs while staying finitely representable.
+
+A Laurent polynomial is one dense ascending list of integer coefficients,
+which the kernels (product, gcd, exact division, expansion) read directly;
+`troplift.lift.MAX_GRID_SPAN` bounds its length, the exponent span.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from functools import reduce
 
 INF = float("inf")
 
-# Products whose shorter factor has fewer terms than this stay on the
-# dict double loop, which beats packing at that size.
+# Products whose shorter factor has fewer nonzero terms than this are
+# convolved term by term, which beats packing at that size.
 KRONECKER_MIN_TERMS = 8
 
 __all__ = [
@@ -51,40 +55,50 @@ def _int_content(values):
 class LaurentPolynomial:
     """Laurent polynomial in t**(1/q) over the rationals.
 
-    Internal form is a minimal grid denominator ``q``, a primitive table of
-    integer coefficients keyed by grid exponent (the stored pair ``k: c``
-    is the term ``content*c * t**(k/q)``), and a positive rational
-    ``content`` factored out of all coefficients.  The table holds no
-    zeros, so equal polynomials have identical representations and can be
-    hashed and compared structurally.  Instances are immutable.
+    Internal form is a minimal grid denominator ``q``; the grid exponent
+    ``low`` of the first slot; ``coeffs``, a dense ascending list of
+    primitive integers whose first and last entries are nonzero (slot
+    ``i`` is the term ``content*coeffs[i] * t**((low+i)/q)``, interior
+    zeros included, and the list is empty for zero); and a positive
+    rational ``content`` factored out of all coefficients.  The form is
+    unique, so equal polynomials have identical representations and can
+    be hashed and compared structurally.  Instances are immutable: no
+    list is mutated once stored.  (A list, not a tuple, because CPython
+    keeps up to 2000 freed tuples of each length under 20 for reuse,
+    which raised the peak memory of short-lived polynomials.)
     """
 
-    __slots__ = ("q", "coeffs", "content")
+    __slots__ = ("q", "low", "coeffs", "content")
 
-    def __init__(self, q, coeffs, content):
+    def __init__(self, q, low, coeffs, content):
         # Trusted constructor: arguments must already be normalized.
         # Use from_terms / _normalized to build values safely.
         self.q = q
+        self.low = low
         self.coeffs = coeffs
         self.content = content
 
     @classmethod
-    def _normalized(cls, q, raw, content):
-        raw = {k: v for k, v in raw.items() if v}
-        if not raw or not content:
-            return cls(1, {}, Fraction(0))
-        if content < 0:
-            content = -content
-            raw = {k: -v for k, v in raw.items()}
-        g = _int_content(raw.values())
-        if g > 1:
+    def _normalized(cls, q, low, raw, content):
+        """Trim, make content positive and coeffs primitive, coarsen q."""
+        lo, hi = 0, len(raw)
+        while lo < hi and not raw[lo]:
+            lo += 1
+        while hi > lo and not raw[hi - 1]:
+            hi -= 1
+        if lo == hi or not content:
+            return cls.zero()
+        raw = raw[lo:hi]
+        low += lo
+        g = _int_content(raw) if content > 0 else -_int_content(raw)
+        if g != 1:
             content = content * g
-            raw = {k: v // g for k, v in raw.items()}
-        d = reduce(math.gcd, raw.keys(), q)
-        if d > 1:
-            q //= d
-            raw = {k // d: v for k, v in raw.items()}
-        return cls(q, raw, content)
+            raw = [v // g for v in raw]
+        if q > 1:
+            d = math.gcd(q, low, *(i for i, v in enumerate(raw) if v))
+            if d > 1:
+                q, low, raw = q // d, low // d, raw[::d]
+        return cls(q, low, raw, content)
 
     @classmethod
     def from_terms(cls, terms):
@@ -92,8 +106,7 @@ class LaurentPolynomial:
         clean = {}
         q = 1
         for e, c in terms.items():
-            e = Fraction(e)
-            c = Fraction(c)
+            e, c = Fraction(e), Fraction(c)
             if c:
                 clean[e] = clean.get(e, Fraction(0)) + c
                 q = math.lcm(q, e.denominator)
@@ -101,19 +114,20 @@ class LaurentPolynomial:
         if not clean:
             return cls.zero()
         content = reduce(_frac_gcd, clean.values())
-        raw = {}
-        for e, c in clean.items():
-            m = c / content
-            raw[int(e * q)] = m.numerator
-        return cls._normalized(q, raw, content)
+        keys = [e.numerator * (q // e.denominator) for e in clean]
+        low = min(keys)
+        raw = [0] * (max(keys) - low + 1)
+        for k, c in zip(keys, clean.values()):
+            raw[k - low] = (c / content).numerator
+        return cls._normalized(q, low, raw, content)
 
     @classmethod
     def zero(cls):
-        return cls(1, {}, Fraction(0))
+        return cls(1, 0, [], Fraction(0))
 
     @classmethod
     def one(cls):
-        return cls(1, {0: 1}, Fraction(1))
+        return cls(1, 0, [1], Fraction(1))
 
     @classmethod
     def constant(cls, c):
@@ -129,45 +143,57 @@ class LaurentPolynomial:
 
     @property
     def is_one(self):
-        return self.q == 1 and self.coeffs == {0: 1} and self.content == 1
+        return (self.q == 1 and self.low == 0 and self.coeffs == [1]
+                and self.content == 1)
 
     @property
     def is_monomial(self):
         return len(self.coeffs) == 1
 
+    @property
+    def term_count(self):
+        """Number of nonzero terms (slots minus interior zeros)."""
+        return len(self.coeffs) - self.coeffs.count(0)
+
     def valuation(self):
         """Lowest exponent as a Fraction; INF for the zero polynomial."""
         if not self.coeffs:
             return INF
-        return Fraction(min(self.coeffs), self.q)
+        return Fraction(self.low, self.q)
 
     def degree(self):
         if not self.coeffs:
             return -INF
-        return Fraction(max(self.coeffs), self.q)
+        return Fraction(self.low + len(self.coeffs) - 1, self.q)
 
     def terms(self):
         """Sorted list of (exponent, coefficient) pairs with Fraction values."""
-        return [(Fraction(k, self.q), self.content * c)
-                for k, c in sorted(self.coeffs.items())]
+        return [(Fraction(self.low + i, self.q), self.content * c)
+                for i, c in enumerate(self.coeffs) if c]
 
     def coefficient(self, e):
-        e = Fraction(e)
-        k = e * self.q
-        if k.denominator != 1:
-            return Fraction(0)
-        return self.content * self.coeffs.get(int(k), 0)
+        k = Fraction(e) * self.q - self.low  # slot index, if on the grid
+        if k.denominator == 1 and 0 <= k < len(self.coeffs):
+            return self.content * self.coeffs[int(k)]
+        return Fraction(0)
+
+    def reach(self, q):
+        """Largest |exponent| in steps of t^(1/q), a refinement of the grid."""
+        return max(-self.low, self.low + len(self.coeffs) - 1, 0) * (q // self.q)
 
     def lowest_coefficient(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no lowest coefficient")
-        return self.content * self.coeffs[min(self.coeffs)]
+        return self.content * self.coeffs[0]
 
     def _on_grid(self, q):
+        """(low, ascending coefficients) on t^(1/q), a refinement of self.q."""
         f = q // self.q
         if f == 1:
-            return self.coeffs
-        return {k * f: v for k, v in self.coeffs.items()}
+            return self.low, self.coeffs
+        out = [0] * ((len(self.coeffs) - 1) * f + 1)
+        out[::f] = self.coeffs
+        return self.low * f, out
 
     def __add__(self, other):
         other = _as_laurent(other)
@@ -181,18 +207,23 @@ class LaurentPolynomial:
         g = _frac_gcd(self.content, other.content)
         m1 = (self.content / g).numerator
         m2 = (other.content / g).numerator
-        out = {k: v * m1 for k, v in self._on_grid(q).items()}
-        for k, v in other._on_grid(q).items():
-            out[k] = out.get(k, 0) + v * m2
-        return LaurentPolynomial._normalized(q, out, g)
+        la, a = self._on_grid(q)
+        lb, b = other._on_grid(q)
+        low = min(la, lb)
+        out = [0] * (max(la + len(a), lb + len(b)) - low)
+        for i, v in enumerate(a, la - low):
+            out[i] = v * m1
+        for i, v in enumerate(b, lb - low):
+            out[i] += v * m2
+        return LaurentPolynomial._normalized(q, low, out, g)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.is_zero:
             return self
-        return LaurentPolynomial(self.q, {k: -v for k, v in self.coeffs.items()},
-                                 self.content)
+        return LaurentPolynomial(self.q, self.low,
+                                 [-v for v in self.coeffs], self.content)
 
     def __sub__(self, other):
         other = _as_laurent(other)
@@ -210,21 +241,22 @@ class LaurentPolynomial:
         if self.is_zero or other.is_zero:
             return LaurentPolynomial.zero()
         q = math.lcm(self.q, other.q)
-        a = self._on_grid(q)
-        b = other._on_grid(q)
-        if len(a) > len(b):
-            a, b = b, a
-        if (len(a) >= KRONECKER_MIN_TERMS and _is_dense(a)
-                and _is_dense(b)):
+        la, a = self._on_grid(q)
+        lb, b = other._on_grid(q)
+        na = len(a) - a.count(0)
+        nb = len(b) - b.count(0)
+        if na > nb:
+            a, b, na = b, a, nb
+        if na >= KRONECKER_MIN_TERMS:
             out = _kronecker_mul(a, b)
         else:
-            out = {}
-            get = out.get
-            for ka, ca in a.items():
-                for kb, cb in b.items():
-                    k = ka + kb
-                    out[k] = get(k, 0) + ca * cb
-        return LaurentPolynomial._normalized(q, out, self.content * other.content)
+            out = [0] * (len(a) + len(b) - 1)
+            for i, ca in enumerate(a):
+                if ca:
+                    for k, cb in enumerate(b, i):
+                        out[k] += ca * cb
+        return LaurentPolynomial._normalized(q, la + lb, out,
+                                             self.content * other.content)
 
     __rmul__ = __mul__
 
@@ -233,7 +265,7 @@ class LaurentPolynomial:
         c = Fraction(c)
         if not c or self.is_zero:
             return LaurentPolynomial.zero()
-        return LaurentPolynomial._normalized(self.q, dict(self.coeffs),
+        return LaurentPolynomial._normalized(self.q, self.low, self.coeffs,
                                              self.content * c)
 
     def shift(self, e):
@@ -242,9 +274,9 @@ class LaurentPolynomial:
         if self.is_zero or not e:
             return self
         q = math.lcm(self.q, e.denominator)
-        ke = int(e * q)
-        out = {k + ke: v for k, v in self._on_grid(q).items()}
-        return LaurentPolynomial._normalized(q, out, self.content)
+        low, out = self._on_grid(q)
+        return LaurentPolynomial._normalized(q, low + int(e * q), out,
+                                             self.content)
 
     def substitute_power(self, n):
         """Substitute t -> t**n (n a positive rational), scaling every exponent by n."""
@@ -253,19 +285,21 @@ class LaurentPolynomial:
             raise ValueError("substitution power must be positive")
         if self.is_zero or n == 1:
             return self
+        # exponent k/q becomes k*num/(q*den): spread the slots num apart
         q = self.q * n.denominator
-        out = {k * n.numerator: v for k, v in self.coeffs.items()}
-        return LaurentPolynomial._normalized(q, out, self.content)
+        low, out = self._on_grid(self.q * n.numerator)
+        return LaurentPolynomial._normalized(q, low, out, self.content)
 
     def __eq__(self, other):
         other = _as_laurent(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self.q == other.q and self.content == other.content
+        return (self.q == other.q and self.low == other.low
+                and self.content == other.content
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.q, self.content, tuple(sorted(self.coeffs.items()))))
+        return hash((self.q, self.low, tuple(self.coeffs), self.content))
 
     def __bool__(self):
         return not self.is_zero
@@ -291,6 +325,13 @@ def _as_laurent(x):
     return NotImplemented
 
 
+def _coerce_poly(x):
+    p = _as_laurent(x)
+    if p is NotImplemented:
+        raise TypeError("cannot build scalar from %r" % type(x).__name__)
+    return p
+
+
 def _fmt_term(e, c):
     if e == 0:
         return str(c)
@@ -303,66 +344,45 @@ def _fmt_term(e, c):
 
 # -- integer polynomial helpers (dense coefficient lists) -------------------
 
-def _dense(coeffs):
-    """Dense ascending int list of a grid-keyed table, and its lowest key."""
-    lo = min(coeffs)
-    out = [0] * (max(coeffs) - lo + 1)
-    for k, v in coeffs.items():
-        out[k - lo] = v
-    return out, lo
-
-
-def _is_dense(coeffs):
-    """True when the exponent spread is under 3x the term count."""
-    return max(coeffs) - min(coeffs) < 3 * len(coeffs)
-
-
-def _pack(coeffs, lo, nb):
-    """Value at t = 2**(8*nb) of sum c*t**(k-lo), packed through bytes.
+def _pack(coeffs, nb):
+    """Value at t = 2**(8*nb) of sum coeffs[i]*t**i, packed through bytes.
 
     Positive and negative coefficients fill separate byte strings, so
     each is one linear-time join and one int.from_bytes.
     """
     zero = bytes(nb)
-    pos = [zero] * (max(coeffs) - lo + 1)
+    pos = [zero] * len(coeffs)
     neg = list(pos)
-    for k, c in coeffs.items():
+    for i, c in enumerate(coeffs):
         if c > 0:
-            pos[k - lo] = c.to_bytes(nb, "little")
-        else:
-            neg[k - lo] = (-c).to_bytes(nb, "little")
+            pos[i] = c.to_bytes(nb, "little")
+        elif c:
+            neg[i] = (-c).to_bytes(nb, "little")
     return (int.from_bytes(b"".join(pos), "little")
             - int.from_bytes(b"".join(neg), "little"))
 
 
 def _kronecker_mul(a, b):
-    """Product of two grid-keyed integer tables by Kronecker substitution.
+    """Product of two ascending integer lists by Kronecker substitution.
 
-    Both tables are evaluated at t = 2**(8*nb) and multiplied as two
+    Both lists are evaluated at t = 2**(8*nb) and multiplied as two
     integers; the product is read back as signed nb-byte digits.  No
     product coefficient exceeds max|a| * max|b| * min(len(a), len(b)) in
     absolute value, and nb leaves that bound a sign bit to spare, so the
     digits never overlap.
     """
-    bound = (max(map(abs, a.values())) * max(map(abs, b.values()))
-             * min(len(a), len(b)))
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     nb = bound.bit_length() // 8 + 1
-    lo_a, lo_b = min(a), min(b)
-    slots = max(a) - lo_a + max(b) - lo_b + 1
-    product = _pack(a, lo_a, nb) * _pack(b, lo_b, nb)
+    slots = len(a) + len(b) - 1
+    product = _pack(a, nb) * _pack(b, nb)
     # adding half a digit to every slot makes each digit nonnegative, so
     # the bytes of the sum are the digits with no borrows between them
     half = 1 << (8 * nb - 1)
     offset = int.from_bytes(half.to_bytes(nb, "little") * slots, "little")
     data = (product + offset).to_bytes(nb * slots, "little")
     from_bytes = int.from_bytes
-    lo = lo_a + lo_b
-    out = {}
-    for i in range(slots):
-        c = from_bytes(data[i * nb:(i + 1) * nb], "little") - half
-        if c:
-            out[lo + i] = c
-    return out
+    return [from_bytes(data[i:i + nb], "little") - half
+            for i in range(0, nb * slots, nb)]
 
 
 def _trim(p):
@@ -436,14 +456,10 @@ def _pseudo_rem_controlled(u, v):
         g = math.gcd(lead, lv)
         mult = lv // g
         fl = lead // g
-        if mult == 1:
-            r = r[1:]
-            for j in range(1, dv + 1):
-                r[j - 1] -= fl * v[j]
-        else:
-            r = [mult * c for c in r[1:]]
-            for j in range(1, dv + 1):
-                r[j - 1] -= fl * v[j]
+        r = r[1:] if mult == 1 else [mult * c for c in r[1:]]
+        for j in range(1, dv + 1):
+            r[j - 1] -= fl * v[j]
+        if mult != 1:
             c = _int_content(r)
             if c > 1:
                 r = [x // c for x in r]
@@ -451,22 +467,16 @@ def _pseudo_rem_controlled(u, v):
 
 
 def _int_poly_gcd(a, b):
-    """Primitive gcd of two nonzero descending integer coefficient lists."""
-    a = _primitive(_trim(a))
-    b = _primitive(_trim(b))
+    """Primitive gcd of two descending integer lists with nonzero ends."""
+    a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
         a, b = b, a
-    if not b:
-        return a
-    if len(b) == 1:
-        return [1]
-    if _modp_gcd_degree(a, b) == 0:
+    if len(b) > 1 and _modp_gcd_degree(a, b) == 0:
         return [1]
     while b:
         if len(b) == 1:
             return [1]
-        r = _pseudo_rem_controlled(a, b)
-        a, b = b, _primitive(_trim(r))
+        a, b = b, _primitive(_trim(_pseudo_rem_controlled(a, b)))
     return a
 
 
@@ -501,12 +511,11 @@ def laurent_gcd(a, b):
     if a.is_zero or b.is_zero:
         raise ValueError("gcd of zero polynomial")
     q = math.lcm(a.q, b.q)
-    pa, _ = _dense(a._on_grid(q))
-    pb, _ = _dense(b._on_grid(q))
+    _, pa = a._on_grid(q)
+    _, pb = b._on_grid(q)
     g = _int_poly_gcd(pa[::-1], pb[::-1])
-    g = g[::-1]  # ascending, g[0] != 0 after primitive trim
-    return LaurentPolynomial._normalized(q, {i: c for i, c in enumerate(g)},
-                                         Fraction(1))
+    # ascending, g[0] != 0 after primitive trim
+    return LaurentPolynomial._normalized(q, 0, g[::-1], Fraction(1))
 
 
 def laurent_divexact(a, g):
@@ -516,12 +525,11 @@ def laurent_divexact(a, g):
     if a.is_zero:
         return LaurentPolynomial.zero()
     q = math.lcm(a.q, g.q)
-    pa, lo_a = _dense(a._on_grid(q))
-    pg, lo_g = _dense(g._on_grid(q))
-    quot = _divexact_ascending(pa, pg)
-    off = lo_a - lo_g
-    return LaurentPolynomial._normalized(
-        q, {off + i: c for i, c in enumerate(quot)}, a.content / g.content)
+    lo_a, pa = a._on_grid(q)
+    lo_g, pg = g._on_grid(q)
+    return LaurentPolynomial._normalized(q, lo_a - lo_g,
+                                         _divexact_ascending(pa, pg),
+                                         a.content / g.content)
 
 
 def shared_expansions(nums, den, upto):
@@ -535,11 +543,10 @@ def shared_expansions(nums, den, upto):
     """
     upto = Fraction(upto)
     q = math.lcm(den.q, *(x.q for x in nums))
-    dgrid = den._on_grid(q)
-    lo = min(dgrid)
+    lo, dgrid = den._on_grid(q)
     top = math.floor(upto * q) + lo  # highest numerator key that can count
     grids = [x._on_grid(q) for x in nums]
-    need = max((top - min(g) for g in grids if g), default=-1)
+    need = max((top - low for low, g in grids if g), default=-1)
     if need < 0:
         return [{} for _ in nums]
     if len(dgrid) == 1:
@@ -547,7 +554,7 @@ def shared_expansions(nums, den, upto):
     # inverse series of the primitive den/t**lo, scaled by d0**(need+1)
     # so every coefficient is an integer: inv[j] = d0**(need+1) * e_j,
     # where e_j carries at most d0**(j+1) in its denominator
-    d = [dgrid.get(lo + i, 0) for i in range(min(need, max(dgrid) - lo) + 1)]
+    d = dgrid[:need + 1]
     d0 = d[0]
     inv = [d0 ** need]
     for j in range(1, need + 1):
@@ -556,16 +563,18 @@ def shared_expansions(nums, den, upto):
                    // d0)
     scale = den.content * d0 ** (need + 1)
     out = []
-    for x, g in zip(nums, grids):
-        acc = {}
-        for a, c in g.items():
-            for j in range(min(need, top - a) + 1):
-                if inv[j]:
-                    k = a - lo + j
-                    acc[k] = acc.get(k, 0) + c * inv[j]
+    for x, (low, g) in zip(nums, grids):
+        # acc[k] is the coefficient of t**((low - lo + k)/q)
+        reach = top - low
+        acc = [0] * (reach + 1)
+        for i, c in enumerate(g[:reach + 1]):
+            if c:
+                for j in range(min(need, reach - i) + 1):
+                    if inv[j]:
+                        acc[i + j] += c * inv[j]
         factor = x.content / scale
-        out.append({Fraction(k, q): factor * s
-                    for k, s in sorted(acc.items()) if s})
+        out.append({Fraction(low - lo + k, q): factor * s
+                    for k, s in enumerate(acc) if s})
     return out
 
 
@@ -573,9 +582,6 @@ def _unit_normalized(num, den):
     """Divide out the denominator's unit part: val(den)=0, lowest coeff 1."""
     if den.is_one:
         return num, den
-    if den.is_monomial:
-        return (num.shift(-den.valuation()).scale(1 / den.lowest_coefficient()),
-                LaurentPolynomial.one())
     s = den.valuation()
     if s:
         num = num.shift(-s)
@@ -592,7 +598,7 @@ def _cofactor_gcd(a, b):
     if a.is_monomial or b.is_monomial:
         return None, a, b
     g = laurent_gcd(a, b)
-    if len(g.coeffs) == 1:
+    if g.is_monomial:
         return None, a, b
     return g, laurent_divexact(a, g), laurent_divexact(b, g)
 
@@ -661,7 +667,7 @@ class PuiseuxFraction:
 
     @property
     def term_count(self):
-        return len(self.num.coeffs) + len(self.den.coeffs)
+        return self.num.term_count + self.den.term_count
 
     def valuation(self):
         """Exact valuation: lowest exponent of num minus that of den; INF at 0."""
@@ -789,14 +795,6 @@ class PuiseuxFraction:
         if self.den.is_one:
             return repr(self.num)
         return "(%r)/(%r)" % (self.num, self.den)
-
-
-def _coerce_poly(x):
-    if isinstance(x, LaurentPolynomial):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return LaurentPolynomial.constant(x)
-    raise TypeError("cannot build scalar from %r" % type(x).__name__)
 
 
 def _as_fraction(x):

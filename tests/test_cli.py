@@ -120,6 +120,10 @@ class TestInstanceFormat:
         with pytest.raises(ValueError):
             Instance.from_rows([[px({0: 1, MAX_GRID_SPAN + 1: 1})]], [ONE])
         assert Instance.from_rows([[px({0: 1, MAX_GRID_SPAN: 1})]], [ONE])
+        # negative exponents count by their absolute value
+        with pytest.raises(ValueError):
+            Instance.from_rows([[px({-MAX_GRID_SPAN - 1: 1, 0: 1})]], [ONE])
+        assert Instance.from_rows([[px({-MAX_GRID_SPAN: 1, 0: 1})]], [ONE])
 
 
 class TestPointAndWitnessFormats:
@@ -219,6 +223,9 @@ class TestCliContract:
     @pytest.mark.parametrize("entries, v, location", [
         # a huge point coordinate against a tiny instance
         ([["1 + t", "2 + t"]], ["0", "3000000"], "point.v[1]"),
+        # a coordinate's denominator refines the common grid: on
+        # t^(1/1000033) the instance's t sits 1000033 steps out
+        ([["1 + t", "2 + t"]], ["0", "1/1000033"], "point.v[1]"),
         # monomials on nearly coprime grids: each spans 0 steps, but the
         # common grid is about 10^12 and t^(1/10^6) sits 10^6+1 steps out
         ([["t^(1/1000000)", "t^(1/1000001)"], ["1", "2"]], ["0", "0"],
