@@ -223,9 +223,6 @@ class TestCliContract:
     @pytest.mark.parametrize("entries, v, location", [
         # a huge point coordinate against a tiny instance
         ([["1 + t", "2 + t"]], ["0", "3000000"], "point.v[1]"),
-        # a coordinate's denominator refines the common grid: on
-        # t^(1/1000033) the instance's t sits 1000033 steps out
-        ([["1 + t", "2 + t"]], ["0", "1/1000033"], "point.v[1]"),
         # monomials on nearly coprime grids: each spans 0 steps, but the
         # common grid is about 10^12 and t^(1/10^6) sits 10^6+1 steps out
         ([["t^(1/1000000)", "t^(1/1000001)"], ["1", "2"]], ["0", "0"],
@@ -233,6 +230,9 @@ class TestCliContract:
         # a monomial far from exponent 0, also of span 0
         ([["t^3000000", "2 + t"], ["1", "3"]], ["0", "0"],
          "instance.A[0][0]"),
+        # a coordinate's denominator refines the common grid: on
+        # t^(1/1000033) the instance's t sits 1000033 steps out
+        ([["1 + t", "2 + t"]], ["0", "1/1000033"], "point.v[1]"),
     ])
     def test_exponent_budget_exits_2_fast(self, tmp_path, capsys, entries, v,
                                           location):
