@@ -34,7 +34,12 @@ from troplift.formats import (
 from troplift.gen import GenConfig, gen_member, gen_point, gen_random
 from troplift.lift import OversizedEntry, decide, verify_witness
 from troplift.oracle import MAX_ORACLE_COLUMNS, TooLargeError, member_oracle
-from troplift.series import LaurentPolynomial, laurent_divexact
+from troplift.series import (
+    LaurentPolynomial,
+    laurent_divexact,
+    laurent_gcd,
+    shared_expansions,
+)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -155,6 +160,9 @@ def _cmd_gen(args):
 # largest reduced numerators decide builds on the bench generator at n=25
 # and n=50.
 KERNEL_SIZES = ((40, 26), (121, 144), (254, 363))
+# Orders the expansion kernel reads: the forms read at most 11-14 nonzero
+# orders per entry at n = 25 and 30.
+KERNEL_EXPANSION_ORDER = 16
 
 
 def _ms_since(t0):
@@ -201,7 +209,9 @@ def _loglog_slope(points):
 def _kernel_timings(seed, budget_s=0.1):
     """Best-of-3 times of the Laurent kernels on seeded dense pairs (a, b).
 
-    The multiply times a * b; the exact divide splits that product by b.
+    The multiply times a * b; the exact divide splits that product by b;
+    the gcd is that of the pair, coprime like most gcds `decide` takes;
+    the expansion is a/b through order KERNEL_EXPANSION_ORDER.
     """
     rng = random.Random(seed)
 
@@ -224,12 +234,15 @@ def _kernel_timings(seed, budget_s=0.1):
 
     pairs = [(terms, bits, operand(terms, bits), operand(terms, bits))
              for terms, bits in KERNEL_SIZES]
-    return ([{"op": "LaurentPolynomial.__mul__", "terms": terms, "bits": bits,
-              "ms": best_ms(operator.mul, a, b)}
-             for terms, bits, a, b in pairs]
-            + [{"op": "laurent_divexact", "terms": terms, "bits": bits,
-                "ms": best_ms(laurent_divexact, a * b, b)}
-               for terms, bits, a, b in pairs])
+    kernels = (("LaurentPolynomial.__mul__", lambda a, b: (operator.mul, a, b)),
+               ("laurent_divexact", lambda a, b: (laurent_divexact, a * b, b)),
+               ("laurent_gcd", lambda a, b: (laurent_gcd, a, b)),
+               ("shared_expansions",
+                lambda a, b: (shared_expansions, [a], b,
+                              KERNEL_EXPANSION_ORDER)))
+    return [{"op": name, "terms": terms, "bits": bits,
+             "ms": best_ms(*call(a, b))}
+            for name, call in kernels for terms, bits, a, b in pairs]
 
 
 def _cmd_bench(args):

@@ -35,6 +35,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 
@@ -150,12 +151,14 @@ class Instance:
         if len(rhs) != len(rows):
             raise ValueError("rhs length does not match row count")
         inst = cls(rows, rhs)
-        q = inst.grid_den()
-        _enforce_budget(chain(
-            ((_grid_reach(x, q), "A[%d][%d]", (i, j))
-             for i, row in enumerate(rows) for j, x in enumerate(row)),
-            ((_grid_reach(x, q), "b[%d]", (i,)) for i, x in enumerate(rhs))),
-            q)
+        if inst.grid_reach > MAX_GRID_SPAN:
+            q = inst.grid_den
+            _enforce_budget(chain(
+                ((_grid_reach(x, q), "A[%d][%d]", (i, j))
+                 for i, row in enumerate(rows) for j, x in enumerate(row)),
+                ((_grid_reach(x, q), "b[%d]", (i,))
+                 for i, x in enumerate(rhs))),
+                q)
         return inst
 
     @property
@@ -166,14 +169,18 @@ class Instance:
     def n(self):
         return len(self.matrix[0]) if self.matrix else 0
 
+    @cached_property
     def grid_den(self):
-        q = 1
-        for row in self.matrix:
-            for x in row:
-                q = math.lcm(q, x.num.q, x.den.q)
-        for x in self.rhs:
-            q = math.lcm(q, x.num.q, x.den.q)
-        return q
+        """The common grid Q: the lcm of every entry's num and den grids."""
+        return math.lcm(*(p.q for row in (*self.matrix, self.rhs)
+                          for x in row for p in (x.num, x.den)))
+
+    @cached_property
+    def grid_reach(self):
+        """Largest |exponent| of any entry, in steps of t^(1/grid_den)."""
+        q = self.grid_den
+        return max((_grid_reach(x, q) for row in (*self.matrix, self.rhs)
+                    for x in row), default=0)
 
 
 def matvec(inst, x):
@@ -265,9 +272,7 @@ def strip_infinite(inst, v):
     if len(v) != inst.n:
         raise ValueError("point length %d does not match %d columns"
                          % (len(v), inst.n))
-    q = inst.grid_den()
-    reach = max(_grid_reach(x, q) for row in (*inst.matrix, inst.rhs)
-                for x in row)
+    q, reach = inst.grid_den, inst.grid_reach
     grid, far, steps = q, 0, []
     for j, c in enumerate(v):
         if c != INF:
@@ -335,7 +340,7 @@ def normalize_and_partition(inst, v):
     v = as_point(v)
     if any(c == INF for c in v):
         raise ValueError("partition requires a finite point")
-    s = inst.grid_den()
+    s = inst.grid_den
     scaled = regrid_instance(inst, s) if s > 1 else inst
     vs = [c * s for c in v]
 

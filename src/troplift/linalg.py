@@ -10,13 +10,17 @@ previous pivot; back substitution then brings each earlier pivot row to
 the last pivot D, dividing exactly by the row's own pivot.  Every entry
 either pass divides out is a minor of the input, so every division is
 exact.  The kernel runs on Python ints for the rational coefficient
-system, after each row is cleared to integers, and on Laurent polynomials
-for the series system, after each row is cleared of its denominators;
-`laurent_divexact` raises ArithmeticError on an inexact division.  When
-elimination ends, every pivot row carries the same pivot D, so each
-reduced entry is N/D.  `rref_solve` returns the numerator rows N and D
-themselves, and builds a reduced entry N/D only when a caller reads
-`matrix` or `rhs`; `kernel_basis` returns its vectors scaled by D.
+system, after each row is cleared to integers, and on integer
+coefficient lists for the series system: each row is cleared of its
+denominators, scaled to integer contents and put on the system's common
+grid t^(1/Q), where an entry is a content times a primitive list
+(`troplift.series.grid_mul`, `grid_sub`, `grid_divexact`; the last
+raises ArithmeticError on an inexact division).  Laurent polynomial
+objects are built once, from the eliminated lists.  When elimination
+ends, every pivot row carries the same pivot D, so each reduced entry is
+N/D.  `rref_solve` returns the numerator rows N and D themselves, and
+builds a reduced entry N/D only when a caller reads `matrix` or `rhs`;
+`kernel_basis` returns its vectors scaled by D.
 """
 
 from __future__ import annotations
@@ -30,8 +34,13 @@ from functools import cached_property
 from troplift.series import (
     LaurentPolynomial,
     PuiseuxFraction,
+    from_grid,
+    grid_divexact,
+    grid_mul,
+    grid_sub,
     laurent_divexact,
     laurent_gcd,
+    to_grid,
 )
 
 __all__ = [
@@ -153,11 +162,17 @@ class LinearForm:
         return acc
 
 
-def _bareiss(rows, ncols, key, divexact):
+def _bareiss(rows, ncols, key, mul, sub, divexact):
     """Fraction-free reduction of augmented rows to reduced row form, in place.
 
     Each row holds `ncols` coefficients, optionally followed by its
-    right-hand side, all in an integral domain.  Two passes:
+    right-hand side, all in an integral domain whose product, difference
+    and exact quotient are `mul`, `sub` and `divexact`; zero is falsy and
+    `sub(x, x)` returns it.  `solve_affine` runs it on ints with
+    `operator.mul`, `sub` and `floordiv`; `_eliminate` runs the series
+    system on integer coefficient lists on one grid, through
+    `troplift.series.grid_mul`, `grid_sub` and `grid_divexact`.  Two
+    passes:
 
     - Forward elimination.  Step k takes as pivot D_k the nonzero
       coefficient with the smallest (key(x), column, row) among the rows
@@ -173,12 +188,14 @@ def _bareiss(rows, ncols, key, divexact):
       N[i][f] is the minor of the pivot rows in the pivot columns with
       c_i replaced by f (Cramer's rule), so this division is exact too.
 
-    `divexact` must return the exact quotient.  Returns the pivot columns.
-    Afterwards row i < r carries D in column pivot_cols[i] and zero in
-    every other pivot column, so its reduced entries are N[i][j]/D, and
-    the rows past the rank are zero but for their right-hand sides.
+    `divexact` must return the exact quotient.  Returns the pivot columns
+    and the row order: row i now holds the reduction of input row
+    order[i].  Afterwards row i < r carries D in column pivot_cols[i] and
+    zero in every other pivot column, so its reduced entries are N[i][j]/D,
+    and the rows past the rank are zero but for their right-hand sides.
     """
     m = len(rows)
+    order = list(range(m))
     pivot_cols = []
     pivots = []
     for rank in range(min(m, ncols)):
@@ -196,23 +213,24 @@ def _bareiss(rows, ncols, key, divexact):
             break
         _, c, r = best
         rows[rank], rows[r] = rows[r], rows[rank]
+        order[rank], order[r] = order[r], order[rank]
         prow = rows[rank]
         piv = prow[c]
         prev = pivots[-1] if pivots else None
         for i in range(rank + 1, m):
             row = rows[i]
             f = row[c]
-            new = ([piv * a - f * b for a, b in zip(row, prow)] if f
-                   else [piv * a for a in row])
+            new = ([sub(mul(piv, a), mul(f, b)) for a, b in zip(row, prow)]
+                   if f else [mul(piv, a) for a in row])
             rows[i] = new if prev is None else [divexact(x, prev) if x else x
                                                 for x in new]
         pivots.append(piv)
         pivot_cols.append(c)
     rank = len(pivot_cols)
     if rank < 2:
-        return pivot_cols
+        return pivot_cols, order
     d = pivots[-1]
-    zero = d - d
+    zero = sub(d, d)
     width = len(rows[0])
     others = [f for f in range(width) if f not in pivot_cols]
     for i in range(rank - 2, -1, -1):
@@ -220,15 +238,15 @@ def _bareiss(rows, ncols, key, divexact):
         new = [zero] * width
         new[pivot_cols[i]] = d
         for f in others:
-            acc = d * row[f] if row[f] else zero
+            acc = mul(d, row[f]) if row[f] else zero
             for j in range(i + 1, rank):
                 u = row[pivot_cols[j]]
                 x = rows[j][f]
                 if u and x:
-                    acc = acc - u * x
+                    acc = sub(acc, mul(u, x))
             new[f] = divexact(acc, pivots[i]) if acc else acc
         rows[i] = new
-    return pivot_cols
+    return pivot_cols, order
 
 
 def _nullspace(n, pivot_cols, neg_entry, zero, scale):
@@ -252,10 +270,11 @@ def _nullspace(n, pivot_cols, neg_entry, zero, scale):
     return basis
 
 
-def _poly_key(p):
+def _grid_key(x):
     # smallest |valuation| first to keep expansion orders near zero, then
-    # sparsest entry to limit fill-in
-    return abs(p.valuation()), p.term_count
+    # sparsest entry to limit fill-in; on one grid |low| orders |valuation|
+    low, _, coeffs = x
+    return abs(low), len(coeffs) - coeffs.count(0)
 
 
 def _clear_denominators(entries):
@@ -281,12 +300,28 @@ def _integer_row(row, rhs):
 def _eliminate(rows, ncols):
     """Bareiss elimination of rows of series scalars, cleared of denominators.
 
-    Returns the eliminated Laurent numerator rows N, the pivot columns and
-    the common pivot D (1 at rank 0); each reduced entry is N/D.
+    Each cleared row i is scaled by L_i, the lcm of its contents'
+    denominators, and runs through `_bareiss` as integer triples on the
+    system's common grid Q (see `troplift.series.to_grid`).  Scaling the
+    input rows scales every minor by the scales of the rows it spans, so
+    the pivot rows come back scaled by S, the product of the pivot rows'
+    scales, and a row past the rank by S times its own; the objects are
+    built with those factors divided out.  Returns the eliminated Laurent
+    numerator rows N, the pivot columns and the common pivot D (1 at
+    rank 0); each reduced entry is N/D.
     """
     polys = [_clear_denominators(row) for row in rows]
-    pivot_cols = _bareiss(polys, ncols, _poly_key, laurent_divexact)
-    d = polys[0][pivot_cols[0]] if pivot_cols else LaurentPolynomial.one()
+    q = math.lcm(*(p.q for row in polys for p in row))
+    scales = [math.lcm(*(p.content.denominator for p in row))
+              for row in polys]
+    grid = [[to_grid(p, q, s) for p in row] for row, s in zip(polys, scales)]
+    pivot_cols, order = _bareiss(grid, ncols, _grid_key, grid_mul, grid_sub,
+                                 grid_divexact)
+    rank = len(pivot_cols)
+    s = math.prod(scales[k] for k in order[:rank])
+    polys = [[from_grid(x, q, s if i < rank else s * scales[order[i]])
+              for x in row] for i, row in enumerate(grid)]
+    d = polys[0][pivot_cols[0]] if rank else LaurentPolynomial.one()
     return polys, pivot_cols, d
 
 
@@ -333,7 +368,8 @@ def solve_affine(matrix, rhs, ncols=None):
         raise ValueError("declared column count does not match rows")
     ints = [_integer_row(row, b) for row, b in zip(rows, rhs)]
     # every nonzero integer is an equally good pivot
-    pivot_cols = _bareiss(ints, n, lambda x: 0, operator.floordiv)
+    pivot_cols, _ = _bareiss(ints, n, lambda x: 0, operator.mul,
+                             operator.sub, operator.floordiv)
     rank = len(pivot_cols)
     if any(row[n] for row in ints[rank:]):
         return None

@@ -8,7 +8,10 @@ needs while staying finitely representable.
 
 A Laurent polynomial is one dense ascending list of integer coefficients,
 which the kernels (product, gcd, exact division, expansion) read directly;
-`troplift.lift.MAX_GRID_SPAN` bounds its length, the exponent span.
+`troplift.lift.MAX_GRID_SPAN` bounds its length, the exponent span.  The
+series elimination of `troplift.linalg` runs on the same lists, all on
+one grid, without building polynomial objects (`grid_mul`, `grid_sub`,
+`grid_divexact`).
 """
 
 from __future__ import annotations
@@ -81,19 +84,25 @@ class LaurentPolynomial:
     @classmethod
     def _normalized(cls, q, low, raw, content):
         """Trim, make content positive and coeffs primitive, coarsen q."""
-        lo, hi = 0, len(raw)
-        while lo < hi and not raw[lo]:
-            lo += 1
-        while hi > lo and not raw[hi - 1]:
-            hi -= 1
-        if lo == hi or not content:
-            return cls.zero()
-        raw = raw[lo:hi]
-        low += lo
-        g = _int_content(raw) if content > 0 else -_int_content(raw)
-        if g != 1:
+        g = _int_content(raw)
+        if g > 1:
             content = content * g
             raw = [v // g for v in raw]
+        return cls._from_primitive(q, low, raw, content)
+
+    @classmethod
+    def _from_primitive(cls, q, low, raw, content):
+        """`_normalized` for raw whose integer content is already 0 or 1.
+
+        Products and exact quotients of primitive lists are primitive
+        (Gauss's lemma), so they need only the trim, the sign and the
+        grid coarsening.
+        """
+        low, raw = _trimmed(low, raw)
+        if not raw or not content:
+            return cls.zero()
+        if content < 0:
+            content, raw = -content, [-v for v in raw]
         if q > 1:
             d = math.gcd(q, low, *(i for i, v in enumerate(raw) if v))
             if d > 1:
@@ -209,12 +218,7 @@ class LaurentPolynomial:
         m2 = (other.content / g).numerator
         la, a = self._on_grid(q)
         lb, b = other._on_grid(q)
-        low = min(la, lb)
-        out = [0] * (max(la + len(a), lb + len(b)) - low)
-        for i, v in enumerate(a, la - low):
-            out[i] = v * m1
-        for i, v in enumerate(b, lb - low):
-            out[i] += v * m2
+        low, out = _combine(la, a, m1, lb, b, m2)
         return LaurentPolynomial._normalized(q, low, out, g)
 
     __radd__ = __add__
@@ -243,20 +247,8 @@ class LaurentPolynomial:
         q = math.lcm(self.q, other.q)
         la, a = self._on_grid(q)
         lb, b = other._on_grid(q)
-        na = len(a) - a.count(0)
-        nb = len(b) - b.count(0)
-        if na > nb:
-            a, b, na = b, a, nb
-        if na >= KRONECKER_MIN_TERMS:
-            out = _kronecker_mul(a, b)
-        else:
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if ca:
-                    for k, cb in enumerate(b, i):
-                        out[k] += ca * cb
-        return LaurentPolynomial._normalized(q, la + lb, out,
-                                             self.content * other.content)
+        return LaurentPolynomial._from_primitive(q, la + lb, _mul_lists(a, b),
+                                                 self.content * other.content)
 
     __rmul__ = __mul__
 
@@ -265,8 +257,8 @@ class LaurentPolynomial:
         c = Fraction(c)
         if not c or self.is_zero:
             return LaurentPolynomial.zero()
-        return LaurentPolynomial._normalized(self.q, self.low, self.coeffs,
-                                             self.content * c)
+        return LaurentPolynomial._from_primitive(self.q, self.low, self.coeffs,
+                                                 self.content * c)
 
     def shift(self, e):
         """Multiply by the monomial t**e."""
@@ -275,8 +267,8 @@ class LaurentPolynomial:
             return self
         q = math.lcm(self.q, e.denominator)
         low, out = self._on_grid(q)
-        return LaurentPolynomial._normalized(q, low + int(e * q), out,
-                                             self.content)
+        return LaurentPolynomial._from_primitive(q, low + int(e * q), out,
+                                                 self.content)
 
     def substitute_power(self, n):
         """Substitute t -> t**n (n a positive rational), scaling every exponent by n."""
@@ -288,7 +280,7 @@ class LaurentPolynomial:
         # exponent k/q becomes k*num/(q*den): spread the slots num apart
         q = self.q * n.denominator
         low, out = self._on_grid(self.q * n.numerator)
-        return LaurentPolynomial._normalized(q, low, out, self.content)
+        return LaurentPolynomial._from_primitive(q, low, out, self.content)
 
     def __eq__(self, other):
         other = _as_laurent(other)
@@ -343,6 +335,53 @@ def _fmt_term(e, c):
 
 
 # -- integer polynomial helpers (dense coefficient lists) -------------------
+
+def _trimmed(low, raw):
+    """(low, raw) with the zero slots at both ends cut off; raw is [] for zero."""
+    lo, hi = 0, len(raw)
+    while lo < hi and not raw[lo]:
+        lo += 1
+    while hi > lo and not raw[hi - 1]:
+        hi -= 1
+    if lo or hi < len(raw):
+        raw = raw[lo:hi]
+    return low + lo, raw
+
+
+def _combine(la, a, ma, lb, b, mb):
+    """ma*a + mb*b for lists whose first slots sit at grid exponents la, lb.
+
+    Returns (low, list), untrimmed.
+    """
+    low = min(la, lb)
+    out = [0] * (max(la + len(a), lb + len(b)) - low)
+    i = la - low
+    out[i:i + len(a)] = a if ma == 1 else [v * ma for v in a]
+    j = lb - low
+    out[j:j + len(b)] = [u + v * mb for u, v in zip(out[j:j + len(b)], b)]
+    return low, out
+
+
+def _mul_lists(a, b):
+    """Product of two ascending integer lists with nonzero ends.
+
+    Under KRONECKER_MIN_TERMS nonzero terms in the sparser factor it
+    convolves term by term, otherwise it packs (`_kronecker_mul`).  The
+    product of primitive lists is primitive (Gauss's lemma).
+    """
+    na = len(a) - a.count(0)
+    nb = len(b) - b.count(0)
+    if na > nb:
+        a, b, na = b, a, nb
+    if na >= KRONECKER_MIN_TERMS:
+        return _kronecker_mul(a, b)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for k, cb in enumerate(b, i):
+                out[k] += ca * cb
+    return out
+
 
 def _pack(coeffs, nb):
     """Value at t = 2**(8*nb) of sum coeffs[i]*t**i, packed through bytes.
@@ -515,7 +554,7 @@ def laurent_gcd(a, b):
     _, pb = b._on_grid(q)
     g = _int_poly_gcd(pa[::-1], pb[::-1])
     # ascending, g[0] != 0 after primitive trim
-    return LaurentPolynomial._normalized(q, 0, g[::-1], Fraction(1))
+    return LaurentPolynomial._from_primitive(q, 0, g[::-1], Fraction(1))
 
 
 def laurent_divexact(a, g):
@@ -527,9 +566,72 @@ def laurent_divexact(a, g):
     q = math.lcm(a.q, g.q)
     lo_a, pa = a._on_grid(q)
     lo_g, pg = g._on_grid(q)
-    return LaurentPolynomial._normalized(q, lo_a - lo_g,
-                                         _divexact_ascending(pa, pg),
-                                         a.content / g.content)
+    return LaurentPolynomial._from_primitive(q, lo_a - lo_g,
+                                             _divexact_ascending(pa, pg),
+                                             a.content / g.content)
+
+
+# -- integer lists on one grid ----------------------------------------------
+#
+# The series elimination kernel (`troplift.linalg`) runs on the fields a
+# LaurentPolynomial stores, all on one grid t^(1/q): a nonzero entry is
+# the triple (low, content, coeffs), a positive integer content times a
+# primitive ascending list with nonzero ends whose first slot sits at
+# grid exponent low, and zero is None.  Products and exact quotients of
+# primitive lists are primitive (Gauss's lemma), so only the difference
+# takes a content gcd.
+
+def to_grid(p, q, scale):
+    """p * scale as a triple on t^(1/q), a refinement of p's grid.
+
+    `scale` must clear the denominator of p's content.
+    """
+    if not p.coeffs:
+        return None
+    low, coeffs = p._on_grid(q)
+    c = p.content
+    return low, c.numerator * (scale // c.denominator), coeffs
+
+
+def from_grid(x, q, scale):
+    """The LaurentPolynomial x / scale of a triple x on t^(1/q)."""
+    if x is None:
+        return LaurentPolynomial.zero()
+    low, c, coeffs = x
+    return LaurentPolynomial._from_primitive(q, low, coeffs, Fraction(c, scale))
+
+
+def grid_mul(x, y):
+    """Product of two triples."""
+    if x is None or y is None:
+        return None
+    return x[0] + y[0], x[1] * y[1], _mul_lists(x[2], y[2])
+
+
+def grid_sub(x, y):
+    """Difference of two triples: one aligned combine and one content gcd."""
+    if y is None:
+        return x
+    ly, cy, b = y
+    if x is None:
+        return ly, cy, [-v for v in b]
+    lx, cx, a = x
+    g = math.gcd(cx, cy)
+    low, out = _trimmed(*_combine(lx, a, cx // g, ly, b, -(cy // g)))
+    if not out:
+        return None
+    h = _int_content(out)
+    if h != 1:
+        out = [v // h for v in out]
+    return low, g * h, out
+
+
+def grid_divexact(x, y):
+    """Exact quotient of two triples; raises ArithmeticError if inexact."""
+    c, r = divmod(x[1], y[1])
+    if r:
+        raise ArithmeticError("inexact content division")
+    return x[0] - y[0], c, _divexact_ascending(x[2], y[2])
 
 
 def shared_expansions(nums, den, upto):

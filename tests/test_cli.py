@@ -336,7 +336,8 @@ class TestCliContract:
         assert [(k["op"], k["terms"], k["bits"])
                 for k in report["kernels"]] == [
             (op, terms, bits)
-            for op in ("LaurentPolynomial.__mul__", "laurent_divexact")
+            for op in ("LaurentPolynomial.__mul__", "laurent_divexact",
+                       "laurent_gcd", "shared_expansions")
             for terms, bits in ((40, 26), (121, 144), (254, 363))]
         assert all(k["ms"] > 0 for k in report["kernels"])
 

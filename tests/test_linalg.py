@@ -1,5 +1,6 @@
 """Tests for exact elimination over both scalar fields."""
 
+import math
 import operator
 import random
 from fractions import Fraction as F
@@ -11,7 +12,7 @@ from troplift.linalg import (
     Matrix,
     _bareiss,
     _clear_denominators,
-    _poly_key,
+    _eliminate,
     kernel_basis,
     rref_solve,
     solve_affine,
@@ -237,7 +238,8 @@ def gauss_jordan_bareiss(rows, ncols, key, divexact):
 
     Same pivot rule and row swaps, but each step also updates the rows
     that already hold a pivot, so it ends with the reduced numerators
-    directly.
+    directly.  It runs on Python ints or on LaurentPolynomial objects,
+    through their operators.
     """
     m = len(rows)
     pivot_cols = []
@@ -272,26 +274,57 @@ def gauss_jordan_bareiss(rows, ncols, key, divexact):
     return pivot_cols
 
 
-def compare_with_gauss_jordan(rows, ncols, key, divexact, seen):
-    """Both kernels on copies of rows: equal pivots and equal rows, entrywise.
+def poly_key(p):
+    """The series pivot key on Laurent polynomial objects."""
+    return abs(p.valuation()), p.term_count
 
-    Equal rows mean equal N, equal D (the pivot of row 0), and equal rows
-    past the rank, so equal rank and consistency too.
+
+def eliminate_matches_gauss_jordan(rows, ncols):
+    """`_eliminate` against the reference run on the cleared object rows.
+
+    Equal pivots, equal rows N entrywise (so equal rows past the rank,
+    hence equal rank and consistency) and equal D.  Returns (N, pivots).
     """
-    got = [list(row) for row in rows]
-    want = [list(row) for row in rows]
-    got_cols = _bareiss(got, ncols, key, divexact)
-    assert got_cols == gauss_jordan_bareiss(want, ncols, key, divexact)
-    assert got == want
-    m, rank = len(rows), len(got_cols)
+    want = [_clear_denominators(row) for row in rows]
+    want_cols = gauss_jordan_bareiss(want, ncols, poly_key, laurent_divexact)
+    got, got_cols, d = _eliminate(rows, ncols)
+    assert got_cols == want_cols
+    assert [list(row) for row in got] == want
+    assert d == (want[0][want_cols[0]] if want_cols
+                 else LaurentPolynomial.one())
+    return got, got_cols
+
+
+def tally_shapes(seen, rows, ncols, reduced, rank):
+    m = len(rows)
     seen["rank>=3"] += rank >= 3
     seen["deficient"] += rank < min(m, ncols)
-    seen["inconsistent"] += any(row[ncols] for row in got[rank:])
+    seen["inconsistent"] += any(row[ncols] for row in reduced[rank:])
     seen["tall"] += m > ncols
     seen["wide"] += m < ncols
     seen["one_row"] += m == 1
     seen["zero_column"] += any(not any(row[c] for row in rows)
                                for c in range(ncols))
+
+
+def grid_scalar(rng, den):
+    """Zero, or up to 3 terms on a grid q = 1..3 with coefficients over den.
+
+    Either sign; 30% of the 3-term ones are ratios over a binomial.
+    """
+    kind = rng.randint(0, 3)
+    if kind == 0:
+        return ZERO
+    q = rng.randint(1, 3)
+    num = LaurentPolynomial.from_terms(
+        {F(rng.randint(-3, 3), q): F(rng.choice([-5, -3, -1, 1, 2, 4]), den)
+         for _ in range(kind)})
+    if kind < 3 or rng.random() < 0.7:
+        return PuiseuxFraction(num)
+    den = LaurentPolynomial.from_terms(
+        {0: 1, F(rng.randint(1, 2), q): F(rng.choice([-3, 1, 2]),
+                                          rng.choice([1, 2, 5]))})
+    return PuiseuxFraction(num, den)
 
 
 class TestBareissKernel:
@@ -318,9 +351,55 @@ class TestBareissKernel:
                     row[c] = ZERO
             seen["ratio"] += any(not x.den.is_one for row in rows for x in row)
             seen["no_columns"] += n == 0
-            polys = [_clear_denominators(row) for row in rows]
-            compare_with_gauss_jordan(polys, n, _poly_key, laurent_divexact,
-                                      seen)
+            got, cols = eliminate_matches_gauss_jordan(rows, n)
+            tally_shapes(seen, rows, n, got, len(cols))
+        assert all(seen.values()), seen
+
+    def test_row_scales_and_grids(self):
+        # Rows on mixed grids with their own content denominators, so each
+        # row runs scaled by its own L; rank 0 and rank 1 systems; and
+        # inconsistent rows past the rank, whose undivided right-hand
+        # sides carry the product of the pivot rows' L times their own.
+        rng = random.Random(97)
+        seen = dict.fromkeys(["mixed_grids", "row_scales_differ", "negative",
+                              "ratio", "rank0", "rank1", "rank>=2",
+                              "scaled_rhs_past_rank"], 0)
+        for _ in range(150):
+            m, n = rng.randint(1, 5), rng.randint(1, 4)
+            dens = [rng.choice([1, 2, 3, 4, 6, 7]) for _ in range(m)]
+            rows = [[grid_scalar(rng, d) for _ in range(n + 1)] for d in dens]
+            shape = rng.random()
+            if shape < 0.15:
+                for row in rows:
+                    row[:n] = [ZERO] * n
+            elif shape < 0.45 and m > 1:
+                # multiples of one row, each with its own right-hand side
+                base = rows[0]
+                for i in range(1, m):
+                    lam = PuiseuxFraction.constant(
+                        F(rng.choice([-3, -1, 2, 5]), dens[i]))
+                    rows[i] = [lam * x for x in base[:n]] + [rows[i][n]]
+            for row in rows:
+                if rng.random() < 0.3:
+                    row[:] = [-x for x in row]
+            got, cols = eliminate_matches_gauss_jordan(rows, n)
+            rank = len(cols)
+            cleared = [_clear_denominators(row) for row in rows]
+            scales = [math.lcm(*(p.content.denominator for p in row))
+                      for row in cleared]
+            grids = {x.num.q for row in rows for x in row if x}
+            seen["mixed_grids"] += len(grids) > 1
+            seen["row_scales_differ"] += len(set(scales)) > 1
+            seen["negative"] += any(x and x.num.lowest_coefficient() < 0
+                                    for row in rows for x in row)
+            seen["ratio"] += any(not x.den.is_one for row in rows for x in row)
+            seen[("rank0", "rank1", "rank>=2")[min(rank, 2)]] += 1
+            for row in got[rank:]:
+                assert not any(row[:n])
+            if rank == 0:
+                assert [list(row) for row in got] == cleared
+            seen["scaled_rhs_past_rank"] += any(
+                row[n] and row[n].content.denominator > 1 for row in got[rank:])
         assert all(seen.values()), seen
 
     def test_integer_rows_match_gauss_jordan(self):
@@ -340,8 +419,14 @@ class TestBareissKernel:
                 c = rng.randrange(n)
                 for row in rows:
                     row[c] = 0
-            compare_with_gauss_jordan(rows, n, lambda x: 0, operator.floordiv,
-                                      seen)
+            got = [list(row) for row in rows]
+            want = [list(row) for row in rows]
+            cols, _ = _bareiss(got, n, lambda x: 0, operator.mul, operator.sub,
+                               operator.floordiv)
+            assert cols == gauss_jordan_bareiss(want, n, lambda x: 0,
+                                                operator.floordiv)
+            assert got == want
+            tally_shapes(seen, rows, n, got, len(cols))
         assert all(seen.values()), seen
 
 
