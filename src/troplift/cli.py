@@ -32,9 +32,11 @@ from troplift.formats import (
     serialize_witness,
 )
 from troplift.gen import GenConfig, gen_member, gen_point, gen_random
-from troplift.lift import OversizedEntry, decide, verify_witness
+from troplift.lift import (MAX_GRID_SPAN, OversizedEntry, decide,
+                           verify_witness)
 from troplift.oracle import MAX_ORACLE_COLUMNS, TooLargeError, member_oracle
 from troplift.series import (
+    INF,
     LaurentPolynomial,
     laurent_divexact,
     laurent_gcd,
@@ -67,9 +69,10 @@ def _load_problem(args):
 
 
 def _cmd_check(args):
+    order = None
     if args.expand is not None:
         try:
-            Fraction(args.expand)
+            order = Fraction(args.expand)
         except (ValueError, ZeroDivisionError):
             raise FormatError("not a rational order: %r" % args.expand,
                               "--expand")
@@ -83,8 +86,8 @@ def _cmd_check(args):
     out = {"verdict": "member" if result.is_member else "not_member"}
     if result.is_member:
         out["witness"] = [serialize_scalar(x) for x in result.witness]
-        if args.expand is not None:
-            order = Fraction(args.expand)
+        if order is not None:
+            _check_order(order, inst, point)
             out["witness_expanded"] = [render_series(x, order)
                                        for x in result.witness]
     else:
@@ -95,6 +98,20 @@ def _cmd_check(args):
                       "total_ms": round(parse_ms + decide_ms, 3)}
     print(json.dumps(out, indent=2))
     return EXIT_OK if result.is_member else EXIT_NEGATIVE
+
+
+def _check_order(order, inst, point):
+    """Reject an --expand order past MAX_GRID_SPAN steps of the budget's grid.
+
+    The witness lies on a divisor of that grid Q, so each coordinate then
+    renders at most 2*MAX_GRID_SPAN + 1 orders.
+    """
+    q = math.lcm(inst.grid_den, *(c.denominator for c in point if c != INF))
+    if abs(order) * q > MAX_GRID_SPAN:
+        raise FormatError("order %s lies %s steps of the grid t^(1/%d) from "
+                          "0; the limit is %d"
+                          % (order, abs(order) * q, q, MAX_GRID_SPAN),
+                          "--expand")
 
 
 def _cmd_verify(args):

@@ -12,7 +12,7 @@ import math
 import re
 from fractions import Fraction
 
-from troplift.lift import Instance, OversizedEntry
+from troplift.lift import MAX_GRID_SPAN, Instance, OversizedEntry
 from troplift.series import INF, LaurentPolynomial, PuiseuxFraction
 
 __all__ = [
@@ -75,7 +75,8 @@ def _parse_int(value, loc, minimum=None):
     return value
 
 
-def _parse_terms(value, q, loc):
+def _parse_terms(value, loc):
+    """{k: summed coefficient} of the [k, c] pairs, the term c*t^(k/q)."""
     if not isinstance(value, list):
         raise FormatError("expected a list of [exponent, coefficient] pairs", loc)
     terms = {}
@@ -85,17 +86,33 @@ def _parse_terms(value, q, loc):
             raise FormatError("expected a [exponent, coefficient] pair", at)
         k = _parse_int(item[0], at + ".exponent")
         c = _parse_rational(item[1], at + ".coefficient")
-        e = Fraction(k, q)
-        terms[e] = terms.get(e, Fraction(0)) + c
-    return LaurentPolynomial.from_terms(terms)
+        terms[k] = terms.get(k, Fraction(0)) + c
+    return terms
 
 
 def parse_scalar(obj, default_q, loc):
+    """A series scalar, no exponent over MAX_GRID_SPAN steps of its own grid.
+
+    Its own grid is t^(1/g), g the lcm of the denominators of its nonzero
+    exponents k/q, so g = q/G and an exponent is |k|/G steps out, for G
+    the gcd of q and those k.  Checked before the dense lists are built
+    or the fraction reduced, since both are sized by those steps.
+    """
     _require_keys(obj, {"q", "num", "den"}, {"num"}, loc)
     q = _parse_int(obj["q"], loc + ".q", minimum=1) if "q" in obj else default_q
-    num = _parse_terms(obj["num"], q, loc + ".num")
-    den = (_parse_terms(obj["den"], q, loc + ".den")
-           if "den" in obj else LaurentPolynomial.one())
+    terms = [_parse_terms(obj[key], loc + "." + key)
+             for key in ("num", "den") if key in obj]
+    ks = [k for t in terms for k, c in t.items() if c]
+    common = math.gcd(q, *ks)
+    steps = max(map(abs, ks), default=0) // common
+    if steps > MAX_GRID_SPAN:
+        raise FormatError("puts an exponent %d steps of its grid t^(1/%d) "
+                          "from 0; the limit is %d"
+                          % (steps, q // common, MAX_GRID_SPAN), loc)
+    num, *den = [LaurentPolynomial.from_terms({Fraction(k, q): c
+                                               for k, c in t.items()})
+                 for t in terms]
+    den = den[0] if den else LaurentPolynomial.one()
     if den.is_zero:
         raise FormatError("denominator is zero", loc + ".den")
     return PuiseuxFraction(num, den)
@@ -148,13 +165,8 @@ def parse_instance(obj):
 def serialize_instance(inst):
     entries = [[serialize_scalar(x) for x in row] for row in inst.matrix]
     rhs = [serialize_scalar(x) for x in inst.rhs]
-    q = 1
-    for row in entries:
-        for e in row:
-            q = math.lcm(q, e["q"])
-    for e in rhs:
-        q = math.lcm(q, e["q"])
-    return {"q": q, "m": inst.m, "n": inst.n, "A": entries, "b": rhs}
+    return {"q": inst.grid_den, "m": inst.m, "n": inst.n, "A": entries,
+            "b": rhs}
 
 
 def parse_point(obj):

@@ -40,7 +40,6 @@ from itertools import chain
 from operator import itemgetter
 
 from troplift.linalg import (
-    AffineSpace,
     LinearForm,
     Matrix,
     rref_solve,
@@ -518,15 +517,10 @@ def solve_and_sweep(must_vanish, must_not, layout):
             row[i] = c
         rows.append(row)
         rhs.append(-form.constant)
-    if n == 0:
-        if any(rhs):
-            return NotMember(STAGE_SYSTEM3, "contradictory constant constraint")
-        space = AffineSpace(offset=(), basis=(), dim=0)
-    else:
-        space = solve_affine(rows, rhs, ncols=n)
-        if space is None:
-            return NotMember(STAGE_SYSTEM3,
-                             "coefficient constraints are unsatisfiable")
+    space = solve_affine(rows, rhs, ncols=n)
+    if space is None:
+        return NotMember(STAGE_SYSTEM3,
+                         "coefficient constraints are unsatisfiable")
     for label, form in must_not:
         if vanishes_identically(form, space):
             return NotMember(STAGE_FAMILY_L,

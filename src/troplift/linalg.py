@@ -57,7 +57,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Matrix:
-    """Dense rectangular matrix of field elements."""
+    """Dense rectangular matrix of field elements, a sequence of rows."""
 
     rows: tuple
 
@@ -80,6 +80,9 @@ class Matrix:
 
     def __getitem__(self, i):
         return self.rows[i]
+
+    def __len__(self):
+        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -330,14 +333,13 @@ def rref_solve(matrix, rhs):
 
     Inconsistency is reported through the `consistent` flag, never raised.
     """
-    rows = matrix.rows if isinstance(matrix, Matrix) else matrix
     rhs = list(rhs)
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
     if len(rhs) != m:
         raise ValueError("rhs length does not match row count")
     polys, pivot_cols, d = _eliminate(
-        [[*row, b] for row, b in zip(rows, rhs)], n)
+        [[*row, b] for row, b in zip(matrix, rhs)], n)
     rank = len(pivot_cols)
     return RrefResult(
         num=tuple(map(tuple, polys)),
@@ -355,18 +357,15 @@ def solve_affine(matrix, rhs, ncols=None):
     Accepts a (possibly empty) list of coefficient rows; an empty
     constraint list leaves the whole space of dimension ``ncols``.
     """
-    rows = matrix.rows if isinstance(matrix, Matrix) else matrix
     rhs = list(rhs)
-    if len(rhs) != len(rows):
+    if len(rhs) != len(matrix):
         raise ValueError("rhs length does not match row count")
-    if not rows:
-        if ncols is None:
-            raise ValueError("empty system needs an explicit column count")
-        return whole_space(ncols)
-    n = len(rows[0])
+    if not matrix and ncols is None:
+        raise ValueError("empty system needs an explicit column count")
+    n = len(matrix[0]) if matrix else ncols
     if ncols is not None and ncols != n:
         raise ValueError("declared column count does not match rows")
-    ints = [_integer_row(row, b) for row, b in zip(rows, rhs)]
+    ints = [_integer_row(row, b) for row, b in zip(matrix, rhs)]
     # every nonzero integer is an equally good pivot
     pivot_cols, _ = _bareiss(ints, n, lambda x: 0, operator.mul,
                              operator.sub, operator.floordiv)
@@ -383,13 +382,6 @@ def solve_affine(matrix, rhs, ncols=None):
                        dim=len(basis))
 
 
-def whole_space(n):
-    """The full rational affine space of dimension n."""
-    zero = Fraction(0)
-    basis = _nullspace(n, (), None, zero, Fraction(1))
-    return AffineSpace(offset=(zero,) * n, basis=tuple(basis), dim=n)
-
-
 def kernel_basis(matrix, ncols=None):
     """Basis of the right kernel of a matrix of series scalars.
 
@@ -398,11 +390,10 @@ def kernel_basis(matrix, ncols=None):
     entry has denominator 1.  An empty matrix needs ``ncols`` and gives
     the unit vectors.
     """
-    rows = matrix.rows if isinstance(matrix, Matrix) else matrix
-    if not rows and ncols is None:
+    if not matrix and ncols is None:
         raise ValueError("empty matrix needs an explicit column count")
-    n = len(rows[0]) if rows else ncols
-    polys, pivot_cols, d = _eliminate(rows, n)
+    n = len(matrix[0]) if matrix else ncols
+    polys, pivot_cols, d = _eliminate(matrix, n)
     return _nullspace(n, pivot_cols,
                       lambda i, f: PuiseuxFraction(-polys[i][f]),
                       PuiseuxFraction.zero(), PuiseuxFraction(d))

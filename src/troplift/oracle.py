@@ -4,9 +4,14 @@ A point w lies in the valuation image of the solution set of M*y = 0
 exactly when, for every minimal-support vector c of the row space of M,
 the minimum of valuation(c_j) + w_j over the support is attained at
 least twice.  Affine systems A*x = b reduce to this with M = [A | -b]
-and w extended by 0.  The enumeration is exponential in the number of
-columns and guarded accordingly; it exists purely to cross-check the
-polynomial decision procedure and never sits on its code path.
+and w extended by 0.  Supports are visited by size, skipping any that
+contains a circuit already found, so every nonzero row-space vector
+inside a visited support S covers S: a zero would put a smaller circuit
+inside.  Any two such vectors are then multiples (else a combination
+would have a zero), and the first one found is the circuit on S.  The
+enumeration is exponential in the number of columns and guarded
+accordingly; it exists purely to cross-check the polynomial decision
+procedure and never sits on its code path.
 """
 
 from __future__ import annotations
@@ -47,15 +52,17 @@ def homogenize(inst):
         [list(row) + [-c] for row, c in zip(inst.matrix, inst.rhs)])
 
 
-def _row_space_section(matrix, support):
-    """Basis of the row-space vectors supported inside the given columns."""
+def _support_vector(matrix, support):
+    """The first nonzero row-space vector vanishing off `support`, or None.
+
+    It is the first nonzero image c*M over the `kernel_basis` of the row
+    combinations c that vanish on the other columns.
+    """
     m = matrix.nrows
     complement = [j for j in range(matrix.ncols) if j not in support]
     constraint = [[matrix[i][j] for i in range(m)] for j in complement]
-    combos = kernel_basis(constraint, ncols=m)
     zero = PuiseuxFraction.zero()
-    images = []
-    for c in combos:
+    for c in kernel_basis(constraint, ncols=m):
         img = [zero] * matrix.ncols
         for j in support:
             acc = zero
@@ -64,30 +71,8 @@ def _row_space_section(matrix, support):
                     acc = acc + c[i] * matrix[i][j]
             img[j] = acc
         if any(img):
-            images.append(tuple(img))
-    return images
-
-
-def _full_support_representative(images, support):
-    """Combine basis images into one vector whose support is all of `support`."""
-    vec = images[0]
-    for img in images[1:]:
-        if all(vec[j] for j in support):
-            break
-        if not any(not vec[j] and img[j] for j in support):
-            continue
-        for lam in range(1, len(support) + 2):
-            cand = tuple(x + lam * y for x, y in zip(vec, img))
-            ok = all(cand[j] for j in support
-                     if vec[j] or img[j])
-            if ok:
-                vec = cand
-                break
-        else:
-            raise AssertionError("no combining multiplier found")
-    if not all(vec[j] for j in support):
-        raise AssertionError("representative does not reach full support")
-    return vec
+            return tuple(img)
+    return None
 
 
 def minimal_support_vectors(matrix, max_cols=MAX_ORACLE_COLUMNS):
@@ -102,15 +87,11 @@ def minimal_support_vectors(matrix, max_cols=MAX_ORACLE_COLUMNS):
         support = frozenset(j for j in range(n) if mask >> j & 1)
         if any(c.support <= support for c in circuits):
             continue
-        images = _row_space_section(matrix, support)
-        if not images:
+        vec = _support_vector(matrix, support)
+        if vec is None:
             continue
-        covered = set()
-        for img in images:
-            covered.update(j for j in support if img[j])
-        if covered != support:
-            continue
-        vec = _full_support_representative(images, support)
+        if not all(vec[j] for j in support):
+            raise AssertionError("row-space vector does not cover its support")
         circuits.append(Circuit(support=support, vector=vec))
     return circuits
 

@@ -125,6 +125,28 @@ class TestInstanceFormat:
             Instance.from_rows([[px({-MAX_GRID_SPAN - 1: 1, 0: 1})]], [ONE])
         assert Instance.from_rows([[px({-MAX_GRID_SPAN: 1, 0: 1})]], [ONE])
 
+    def test_scalar_budget_counts_its_own_terms(self):
+        one = {"num": [[0, "1"]]}
+
+        def parse(entry):
+            return parse_instance({"A": [[entry]], "b": [one]})
+
+        # checked before the fraction reduces, so a ratio that would
+        # reduce to 1 + t is still too far out
+        with pytest.raises(FormatError) as exc:
+            parse({"num": [[20000, "1"], [20001, "1"]],
+                   "den": [[20000, "1"]]})
+        assert exc.value.location == "instance.A[0][0]"
+        # steps count on the grid of the scalar's own exponents: t^10000
+        # written on q = 2 is 10000 steps, t^(20001/2) is 20001
+        assert parse({"q": 2, "num": [[2 * MAX_GRID_SPAN, "1"]]})
+        with pytest.raises(FormatError):
+            parse({"q": 2, "num": [[2 * MAX_GRID_SPAN + 1, "1"]]})
+        # repeated exponents are summed first, so terms that cancel are
+        # not counted
+        inst = parse({"num": [[0, "1"], [20000, "1"], [20000, "-1"]]})
+        assert inst.matrix[0][0] == ONE
+
 
 class TestPointAndWitnessFormats:
     def test_point_round_trip(self):
@@ -233,6 +255,10 @@ class TestCliContract:
         # a coordinate's denominator refines the common grid: on
         # t^(1/1000033) the instance's t sits 1000033 steps out
         ([["1 + t", "2 + t"]], ["0", "1/1000033"], "point.v[1]"),
+        # entries refused before their dense lists are built or their
+        # fraction is reduced
+        ([["1 + t^10000000000000"]], ["0"], "instance.A[0][0]"),
+        ([["(1 - t^1000000)/(1 - t^999999)"]], ["0"], "instance.A[0][0]"),
     ])
     def test_exponent_budget_exits_2_fast(self, tmp_path, capsys, entries, v,
                                           location):
@@ -245,6 +271,11 @@ class TestCliContract:
             "t^3000000": {"num": [[3000000, "1"]]},
             "t^(1/1000000)": {"q": 10**6, "num": [[1, "1"]]},
             "t^(1/1000001)": {"q": 10**6 + 1, "num": [[1, "1"]]},
+            "1 + t^10000000000000": {"num": [[0, "1"],
+                                             [10000000000000, "1"]]},
+            "(1 - t^1000000)/(1 - t^999999)": {
+                "num": [[0, "1"], [1000000, "-1"]],
+                "den": [[0, "1"], [999999, "-1"]]},
         }
         inst = tmp_path / "inst.json"
         inst.write_text(json.dumps({
@@ -256,6 +287,39 @@ class TestCliContract:
         assert main(["check", "-i", str(inst), "-p", str(p)]) == 2
         assert time.perf_counter() - t0 < 1.0
         assert "input error: %s:" % location in capsys.readouterr().err
+
+    def test_oversized_witness_exits_2_fast(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"A": [[{"num": [[0, "1"], [1, "1"]]}]],
+                                    "b": [{"num": [[0, "1"]]}]}))
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({"v": ["0"]}))
+        w = tmp_path / "w.json"
+        w.write_text(json.dumps(
+            {"x": [{"num": [[0, "1"], [10000000000000, "1"]]}]}))
+        t0 = time.perf_counter()
+        assert main(["verify", "-i", str(inst), "-p", str(p),
+                     "-w", str(w)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "input error: witness.x[0]:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", ["3000000", "10000000000000",
+                                       "-10001", "20001/2"])
+    def test_expand_order_budget_exits_2_fast(self, tmp_path, capsys, order):
+        # the grid is that of the instance and the point: here t^(1/2)
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"A": [[{"num": [[0, "1"], [1, "1"]]}]],
+                                    "b": [{"q": 2, "num": [[1, "1"]]}]}))
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({"v": ["1/2"]}))
+        t0 = time.perf_counter()
+        assert main(["check", "-i", str(inst), "-p", str(p),
+                     "--expand", order]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "input error: --expand:" in capsys.readouterr().err
+        # the farthest order on that grid is admitted
+        assert main(["check", "-i", str(inst), "-p", str(p),
+                     "--expand", "5000"]) == 0
 
     def test_missing_file(self, files):
         tmp, inst, point = files

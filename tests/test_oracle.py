@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction as F
+from itertools import chain, combinations
 
 import pytest
 
 from troplift.lift import Instance, decide, verify_witness
-from troplift.linalg import Matrix
+from troplift.linalg import Matrix, rref_solve
 from troplift.oracle import (
     TooLargeError,
     homogenize,
@@ -67,6 +68,56 @@ class TestMinimalSupports:
         with pytest.raises(TooLargeError):
             minimal_support_vectors(wide)
         minimal_support_vectors(wide, max_cols=14)
+
+    def test_supports_are_the_minimal_rank_drops(self):
+        # A nonzero row-space vector vanishes off S exactly when deleting
+        # S's columns lowers the rank, so the circuits are the minimal such
+        # S.  Repeated, scaled and rank-1 rows give a support several
+        # independent combinations of rows; zero columns lie in none.
+        rng = random.Random(61)
+
+        def scalar(q):
+            return px({F(rng.randint(-2, 2), q): rng.randint(-3, 3)
+                       for _ in range(rng.randint(0, 2))})
+
+        def rank(rows, cols):
+            return rref_solve([[row[j] for j in cols] for row in rows],
+                              [ZERO] * len(rows)).rank
+
+        seen = dict.fromkeys(["dependent_rows", "rank1", "zero_column",
+                              "grid2"], 0)
+        for _ in range(60):
+            m, n, q = rng.randint(1, 4), rng.randint(2, 7), rng.randint(1, 2)
+            rows = [[scalar(q) for _ in range(n)] for _ in range(m)]
+            shape = rng.choice(("plain", "repeat", "rank1"))
+            if m > 1 and shape == "repeat":
+                factor = rng.choice((ONE, px({F(1, q): 2})))
+                rows[rng.randrange(1, m)] = [factor * x for x in rows[0]]
+            elif shape == "rank1":
+                rows = [[f * x for x in rows[0]]
+                        for f in [scalar(q) for _ in range(m)]]
+            if rng.random() < 0.3:
+                c = rng.randrange(n)
+                for row in rows:
+                    row[c] = ZERO
+            full = rank(rows, range(n))
+            drops = [S for S in map(frozenset, chain.from_iterable(
+                         combinations(range(n), k) for k in range(1, n + 1)))
+                     if rank(rows, [j for j in range(n) if j not in S]) < full]
+            minimal = {S for S in drops if not any(T < S for T in drops)}
+            circuits = minimal_support_vectors(Matrix.from_rows(rows))
+            assert len(circuits) == len(minimal)
+            assert {c.support for c in circuits} == minimal
+            for circ in circuits:
+                support = {j for j, x in enumerate(circ.vector) if x}
+                assert support == circ.support
+                assert rank([*rows, circ.vector], range(n)) == full
+            seen["dependent_rows"] += full < m
+            seen["rank1"] += full == 1 < m
+            seen["zero_column"] += any(not any(row[j] for row in rows)
+                                       for j in range(n))
+            seen["grid2"] += q == 2
+        assert all(seen.values()), seen
 
 
 class TestMemberOracle:
