@@ -177,8 +177,9 @@ def _cmd_gen(args):
 # largest reduced numerators decide builds on the bench generator at n=25
 # and n=50.
 KERNEL_SIZES = ((40, 26), (121, 144), (254, 363))
-# Orders the expansion kernel reads: the forms read at most 11-14 nonzero
-# orders per entry at n = 25 and 30.
+# Orders the expansion kernel reads.  `decide` expands no series; the
+# kernel serves `check --expand`, which renders each witness coordinate
+# through the order asked for.
 KERNEL_EXPANSION_ORDER = 16
 
 

@@ -57,7 +57,10 @@ def _parse_rational(value, loc):
                           % type(value).__name__, loc)
     if not _RATIONAL.match(value):
         raise FormatError("not an exact rational: %r" % value, loc)
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ValueError as exc:  # past the interpreter's integer digit limit
+        raise FormatError(str(exc), loc) from exc
 
 
 def _format_rational(f):
@@ -239,5 +242,5 @@ def render_series(x, upto):
 def loads(text, what):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an over-long integer
         raise FormatError("invalid JSON (%s)" % exc, what) from exc

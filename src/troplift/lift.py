@@ -14,15 +14,19 @@ yes.  The pipeline:
    zero); every subsystem keeps all columns, requiring valuation exactly
    0 on its own congruence class after column scaling and a strict
    valuation lower bound on the rest;
-3. per subsystem, row-reduce exactly and attach polynomial ansatz
-   unknowns of bounded degree to the free columns;
-4. the conditions "all strictly negative orders cancel" form a rational
-   linear system in the ansatz coefficients, and "all order-zero
-   residuals and leading ansatz coefficients that must be exact are
-   nonzero" is a finite family of affine-linear forms that must be
-   simultaneously nonzero on its solution space; a geometric-progression
-   sweep over the solution space finds a point avoiding all their zero
-   sets whenever one exists;
+3. per subsystem, row-reduce exactly, pivoting by least valuation, so
+   every reduced free-column entry has valuation >= 0; each local
+   coordinate must have valuation >= 0 too, so only the constant term of
+   a free coordinate reaches the orders <= 0 the verdict reads, and a
+   free column gets one constant unknown when some reduced entry of it
+   has valuation 0, and none otherwise;
+4. the strictly negative orders of a pivot coordinate are then those of
+   its reduced right-hand side, so the slice is infeasible exactly when
+   one of those has valuation < 0; otherwise "every order-zero residual
+   and every unknown that must be exact is nonzero" is a finite family
+   of affine-linear forms in the unknowns, each read off lowest
+   coefficients, and a geometric-progression sweep finds values avoiding
+   all their zero sets unless one of them is the zero form;
 5. back-substitute to exact pivot coordinates, undo the scalings, sum
    the slices, and re-verify the witness before returning it.
 
@@ -39,19 +43,8 @@ from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 
-from troplift.linalg import (
-    LinearForm,
-    Matrix,
-    rref_solve,
-    solve_affine,
-    vanishes_identically,
-)
-from troplift.series import (
-    INF,
-    LaurentPolynomial,
-    PuiseuxFraction,
-    shared_expansions,
-)
+from troplift.linalg import LinearForm, Matrix, rref_solve
+from troplift.series import INF, LaurentPolynomial, PuiseuxFraction
 
 __all__ = [
     "Instance",
@@ -379,25 +372,24 @@ def normalize_and_partition(inst, v):
 class FreeColumn:
     """A non-pivot column and its ansatz.
 
-    degree is None when every reduced entry of the column has valuation
-    > 0: the coordinate is then invisible to all orders <= 0 and is
-    pinned to the constant 1 when its valuation must be exactly 0, or
-    dropped to 0 when any valuation >= 0 would do.  Otherwise the
-    coordinate is a polynomial with unknowns y_(col,0) .. y_(col,degree);
-    only exact columns must keep y_(col,0) nonzero.
+    `unknown` is the index, among the layout's variables, of the
+    coordinate's constant term when some reduced entry of the column has
+    valuation 0; only exact columns must keep it nonzero.  It is None when
+    every reduced entry has valuation > 0: the coordinate is then
+    invisible to all orders <= 0 and is pinned to the constant 1 when its
+    valuation must be exactly 0, or dropped to 0 when any valuation >= 0
+    would do.
     """
 
     column: int
-    degree: int | None
+    unknown: int | None
     exact: bool
 
 
 @dataclass(frozen=True)
 class UnknownLayout:
     free: tuple              # FreeColumn per non-pivot column, in column order
-    variables: tuple         # ordered (column, order) unknown ids
-    var_index: dict
-    low_orders: tuple        # per pivot row: lowest order that can be nonzero
+    variables: tuple         # the columns that carry an unknown, in order
 
 
 def _reduced_val(red, i, j):
@@ -412,86 +404,70 @@ def _reduced_val(red, i, j):
 
 
 def attach_unknowns(sub, red):
-    """Fix the ansatz degree of every free column and each row's low order."""
+    """Give each free column whose entries reach order 0 one constant unknown.
+
+    `rref_solve` pivots by least valuation, so no reduced free-column
+    entry has valuation < 0; every stage after this one relies on that.
+    """
     free = []
     variables = []
     for f in red.free_cols:
-        vals = [_reduced_val(red, i, f) for i in range(red.rank)]
-        vals = [w for w in vals if w != INF]
-        low = min(vals) if vals else None
-        degree = -low if (low is not None and low <= 0) else None
-        free.append(FreeColumn(column=f, degree=degree, exact=sub.exact[f]))
-        if degree is not None:
-            variables.extend((f, l) for l in range(degree + 1))
-    low_orders = []
-    for i in range(red.rank):
-        # column -1 is the right-hand side
-        lows = [_reduced_val(red, i, j) for j in (*red.free_cols, -1)]
-        lows = [w for w in lows if w != INF]
-        low_orders.append(min(lows) if lows else INF)
-    var_index = {var: k for k, var in enumerate(variables)}
-    return UnknownLayout(free=tuple(free), variables=tuple(variables),
-                         var_index=var_index, low_orders=tuple(low_orders))
+        low = min((_reduced_val(red, i, f) for i in range(red.rank)),
+                  default=INF)
+        if low < 0:
+            raise LiftInternalError("reduced entry of column %d has valuation "
+                                    "%d < 0" % (f, low))
+        unknown = None
+        if low == 0:
+            unknown = len(variables)
+            variables.append(f)
+        free.append(FreeColumn(column=f, unknown=unknown, exact=sub.exact[f]))
+    return UnknownLayout(free=tuple(free), variables=tuple(variables))
 
 
 # -- stage 4: coefficient forms -----------------------------------------------
 
+def _order0(red, i, j):
+    """Order-0 coefficient of a reduced entry of valuation >= 0."""
+    x = red.num[i][j]
+    if not x or x.valuation() != red.den.valuation():
+        return Fraction(0)
+    return x.lowest_coefficient() / red.den.lowest_coefficient()
+
+
 def build_forms(sub, red, layout):
-    """Order-by-order coefficient forms of each reduced equation's residual.
+    """Lowest-order conditions on each pivot coordinate and each unknown.
 
-    For pivot row i the residual is sum_j a_ij * x_j - b_i over the free
-    columns, which equals -x_i.  Orders k < 0 must vanish for every row
-    (pivot coordinates may never dip below valuation 0).  The order-0
-    coefficient must additionally be nonzero when the pivot column's
-    valuation has to be exactly 0, and the same goes for the leading
-    ansatz coefficient of every exact free column.  Returns
-    (must_vanish, must_not_vanish); the second list pairs each form with
-    a printable label.
+    Pivot coordinate i is (N_rhs - sum_f N_if * x_f) / D.  Every free
+    entry N_if/D and every x_f has valuation >= 0, so the orders < 0 of
+    the coordinate are those of N_rhs/D, which must then be >= 0.  Its
+    order-0 coefficient must additionally be nonzero when the pivot
+    column's valuation has to be exactly 0, and so must the unknown of
+    every exact free column.  Returns (negative_rows, must_not): the pivot
+    rows whose right-hand side has valuation < 0, and, when there are
+    none, each form that must not vanish paired with a printable label.
     """
-    must_vanish = []
+    negative_rows = [i for i in range(red.rank)
+                     if _reduced_val(red, i, -1) < 0]
+    if negative_rows:
+        return negative_rows, []
     must_not = []
-    # every entry the forms read, expanded through order 0 over the
-    # shared pivot D: each pivot row's free-column entries, then its
-    # right-hand side (column -1)
-    cols = [fc.column for fc in layout.free] + [-1]
-    flat = shared_expansions(
-        [red.num[i][c] for i in range(red.rank) for c in cols], red.den, 0)
     for i in range(red.rank):
-        low = layout.low_orders[i]
-        *row, rhs_exp = flat[i * len(cols):(i + 1) * len(cols)]
-        expansions = list(zip(layout.free, row))
-        pivot_exact = sub.exact[red.pivot_cols[i]]
-        orders = [] if low == INF else list(range(low, 0))
-        if pivot_exact:
-            orders.append(0)
-        for k in orders:
-            coeffs = {}
-            constant = Fraction(0)
-            for fc, exp in expansions:
-                if fc.degree is None:
-                    if fc.exact:
-                        constant += exp.get(k, 0)
-                else:
-                    for l in range(fc.degree + 1):
-                        c = exp.get(k - l, 0)
-                        if c:
-                            idx = layout.var_index[(fc.column, l)]
-                            coeffs[idx] = coeffs.get(idx, 0) + c
-            constant -= rhs_exp.get(k, 0)
-            form = LinearForm.make(constant, coeffs)
-            if k < 0:
-                must_vanish.append(form)
-            else:
-                must_not.append(("L[%d,0]" % i, form))
+        if sub.exact[red.pivot_cols[i]]:
+            # the residual -x_i; a column without an unknown has order-0
+            # entries 0, whatever its pinned value
+            coeffs = {fc.unknown: _order0(red, i, fc.column)
+                      for fc in layout.free if fc.unknown is not None}
+            must_not.append(("L[%d,0]" % i,
+                             LinearForm.make(-_order0(red, i, -1), coeffs)))
     for fc in layout.free:
-        if fc.degree is not None and fc.exact:
-            idx = layout.var_index[(fc.column, 0)]
+        if fc.unknown is not None and fc.exact:
             must_not.append(("y[%d,0]" % fc.column,
-                             LinearForm.make(0, {idx: Fraction(1)})))
-    return must_vanish, must_not
+                             LinearForm.make(0, {fc.unknown: Fraction(1)})))
+    return negative_rows, must_not
 
 
-# -- stage 5: solve and sweep ---------------------------------------------------
+# -- stage 5: sweep ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class SweepOutcome:
@@ -499,39 +475,29 @@ class SweepOutcome:
     stats: SweepStats
 
 
-def solve_and_sweep(must_vanish, must_not, layout):
-    """Solve the vanishing constraints and pick values avoiding all zero sets.
+def solve_and_sweep(negative_rows, must_not, layout):
+    """Pick values of the unknowns that avoid every form's zero set.
 
-    Returns a SweepOutcome, or a NotMember when the constraint system is
-    infeasible or some required-nonzero form vanishes identically on its
-    solution space.  Every form that does not vanish identically is zero
-    on at most `dim` of the geometric candidates, so scanning
-    len(must_not)*dim + 1 of them is guaranteed to succeed.
+    Returns a SweepOutcome, or a NotMember when some pivot row's
+    right-hand side has valuation < 0 or some required-nonzero form is
+    the zero form.  The unknowns are unconstrained, so every other form is
+    zero on at most `dim` of the geometric candidates (p, p^2, ..., p^dim),
+    and scanning len(must_not)*dim + 1 of them is guaranteed to succeed.
     """
-    n = len(layout.variables)
-    rows = []
-    rhs = []
-    for form in must_vanish:
-        row = [Fraction(0)] * n
-        for i, c in form.coeffs:
-            row[i] = c
-        rows.append(row)
-        rhs.append(-form.constant)
-    space = solve_affine(rows, rhs, ncols=n)
-    if space is None:
+    if negative_rows:
         return NotMember(STAGE_SYSTEM3,
-                         "coefficient constraints are unsatisfiable")
+                         "pivot row %d has a right-hand side of valuation < 0"
+                         % negative_rows[0])
     for label, form in must_not:
-        if vanishes_identically(form, space):
-            return NotMember(STAGE_FAMILY_L,
-                             "%s vanishes on the constraint solutions" % label)
-    bound = len(must_not) * space.dim + 1
+        if not form.constant and not form.coeffs:
+            return NotMember(STAGE_FAMILY_L, "%s vanishes identically" % label)
+    dim = len(layout.variables)
+    bound = len(must_not) * dim + 1
     for p in range(1, bound + 1):
-        weights = [Fraction(p) ** l for l in range(1, space.dim + 1)]
-        candidate = space.point(weights)
+        candidate = tuple(Fraction(p) ** l for l in range(1, dim + 1))
         if all(form.evaluate(candidate) for _, form in must_not):
             stats = SweepStats(chosen_p=p, bound=bound,
-                               family_size=len(must_not), dim=space.dim)
+                               family_size=len(must_not), dim=dim)
             return SweepOutcome(values=candidate, stats=stats)
     raise LiftInternalError("sweep exhausted %d candidates" % bound)
 
@@ -547,21 +513,18 @@ def reconstruct_witness(sub, red, layout, values):
     """
     locals_ = {}
     for fc in layout.free:
-        if fc.degree is None:
-            locals_[fc.column] = (LaurentPolynomial.one() if fc.exact
-                                  else LaurentPolynomial.zero())
+        if fc.unknown is not None:
+            locals_[fc.column] = values[fc.unknown]
         else:
-            terms = {l: values[layout.var_index[(fc.column, l)]]
-                     for l in range(fc.degree + 1)}
-            locals_[fc.column] = LaurentPolynomial.from_terms(terms)
+            locals_[fc.column] = Fraction(1 if fc.exact else 0)
     coords = {col: PuiseuxFraction(x) for col, x in locals_.items()}
     # pivot coordinate i is (N_rhs - sum_f N_if * x_f) / D: a polynomial
     # sum, reduced once
     for i, row in enumerate(red.num[:red.rank]):
         acc = row[-1]
-        for fc in layout.free:
-            if row[fc.column] and locals_[fc.column]:
-                acc = acc - row[fc.column] * locals_[fc.column]
+        for col, x in locals_.items():
+            if row[col] and x:
+                acc = acc - row[col].scale(x)
         coords[red.pivot_cols[i]] = PuiseuxFraction(acc, red.den)
     return {col: coords[col].shift(sub.shifts[col])
             for col in range(len(sub.shifts))}
@@ -587,8 +550,8 @@ def decide(inst, v):
                 STAGE_INFEASIBLE,
                 "slice with residue %s has no solution at all" % sub.residue)
         layout = attach_unknowns(sub, red)
-        must_vanish, must_not = build_forms(sub, red, layout)
-        outcome = solve_and_sweep(must_vanish, must_not, layout)
+        negative_rows, must_not = build_forms(sub, red, layout)
+        outcome = solve_and_sweep(negative_rows, must_not, layout)
         if isinstance(outcome, NotMember):
             return NotMember(outcome.stage,
                              "slice with residue %s: %s"

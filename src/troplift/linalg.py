@@ -1,6 +1,6 @@
-"""Exact linear algebra: one fraction-free elimination kernel, used twice.
+"""Exact linear algebra: one fraction-free elimination kernel, two pivot keys.
 
-The kernel reduces an augmented system over an integral domain in two
+The kernel reduces an augmented system of series scalars in two
 fraction-free passes (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22, 1968; Nakos,
 Turner and Williams, "Fraction-free algorithms for linear and polynomial
@@ -9,24 +9,29 @@ the rows below each pivot, by cross-multiplication divided exactly by the
 previous pivot; back substitution then brings each earlier pivot row to
 the last pivot D, dividing exactly by the row's own pivot.  Every entry
 either pass divides out is a minor of the input, so every division is
-exact.  The kernel runs on Python ints for the rational coefficient
-system, after each row is cleared to integers, and on integer
-coefficient lists for the series system: each row is cleared of its
+exact.  The kernel runs on grid triples: each row is cleared of its
 denominators, scaled to integer contents and put on the system's common
-grid t^(1/Q), where an entry is a content times a primitive list
-(`troplift.series.grid_mul`, `grid_sub`, `grid_divexact`; the last
-raises ArithmeticError on an inexact division).  Laurent polynomial
-objects are built once, from the eliminated lists.  When elimination
-ends, every pivot row carries the same pivot D, so each reduced entry is
-N/D.  `rref_solve` returns the numerator rows N and D themselves, and
-builds a reduced entry N/D only when a caller reads `matrix` or `rhs`;
-`kernel_basis` returns its vectors scaled by D.
+grid t^(1/Q), where an entry is a content times a primitive integer list
+(`troplift.series.grid_mul`, `grid_sub`, `grid_divexact`; the last raises
+ArithmeticError on an inexact division).  Laurent polynomial objects are
+built once, from the eliminated lists.  When elimination ends, every
+pivot row carries the same pivot D, so each reduced entry is N/D.
+
+The two callers differ only in the pivot key.  `rref_solve`, which
+`troplift.lift.decide` runs, pivots by least valuation: full pivoting by
+valuation (Caruso, Roe and Vaccon, "p-adic stability in linear algebra",
+ISSAC 2015), so every reduced free-column entry has valuation >= 0, which
+the lifting stages rely on.  `kernel_basis`, which the circuit oracle
+runs, pivots by least |valuation|: any pivot order gives the same kernel,
+and that one keeps the oracle's small entries sparse.  `rref_solve`
+returns the numerator rows N and D themselves, and builds a reduced entry
+N/D only when a caller reads `matrix` or `rhs`; `kernel_basis` returns its
+vectors scaled by D.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -46,12 +51,9 @@ from troplift.series import (
 __all__ = [
     "Matrix",
     "RrefResult",
-    "AffineSpace",
     "LinearForm",
     "rref_solve",
-    "solve_affine",
     "kernel_basis",
-    "vanishes_identically",
 ]
 
 
@@ -125,22 +127,6 @@ class RrefResult:
 
 
 @dataclass(frozen=True)
-class AffineSpace:
-    """offset + span(basis): the solution set of a rational linear system."""
-
-    offset: tuple
-    basis: tuple
-    dim: int
-
-    def point(self, weights):
-        out = list(self.offset)
-        for w, vec in zip(weights, self.basis):
-            for i, v in enumerate(vec):
-                out[i] += w * v
-        return tuple(out)
-
-
-@dataclass(frozen=True)
 class LinearForm:
     """Affine-linear form constant + sum(coeffs[i] * y_i) over ambient R^N."""
 
@@ -158,31 +144,20 @@ class LinearForm:
             acc += c * values[i]
         return acc
 
-    def gradient_dot(self, vector):
-        acc = Fraction(0)
-        for i, c in self.coeffs:
-            acc += c * vector[i]
-        return acc
 
-
-def _bareiss(rows, ncols, key, mul, sub, divexact):
-    """Fraction-free reduction of augmented rows to reduced row form, in place.
+def _bareiss(rows, ncols, key):
+    """Fraction-free reduction of augmented rows of grid triples, in place.
 
     Each row holds `ncols` coefficients, optionally followed by its
-    right-hand side, all in an integral domain whose product, difference
-    and exact quotient are `mul`, `sub` and `divexact`; zero is falsy and
-    `sub(x, x)` returns it.  `solve_affine` runs it on ints with
-    `operator.mul`, `sub` and `floordiv`; `_eliminate` runs the series
-    system on integer coefficient lists on one grid, through
-    `troplift.series.grid_mul`, `grid_sub` and `grid_divexact`.  Two
-    passes:
+    right-hand side, all triples on one grid (None is zero).  Two passes:
 
     - Forward elimination.  Step k takes as pivot D_k the nonzero
       coefficient with the smallest (key(x), column, row) among the rows
       not used yet, swaps its row into place k, and replaces every row
       below by (D_k*a - f*b) / D_(k-1), undivided at k = 0.  Each updated
       entry is a minor of the input (Sylvester's identity), so the
-      division is exact.
+      division is exact.  Every candidate at step k is D_(k-1) times its
+      Schur-complement entry, so a key on valuations ranks those entries.
     - Back substitution.  With rank r and D = D_(r-1), row r-1 is already
       final.  Pivot row i = r-2, ..., 0, holding U[i] from the forward
       pass, becomes D in its own pivot column c_i, zero in the other pivot
@@ -191,11 +166,11 @@ def _bareiss(rows, ncols, key, mul, sub, divexact):
       N[i][f] is the minor of the pivot rows in the pivot columns with
       c_i replaced by f (Cramer's rule), so this division is exact too.
 
-    `divexact` must return the exact quotient.  Returns the pivot columns
-    and the row order: row i now holds the reduction of input row
-    order[i].  Afterwards row i < r carries D in column pivot_cols[i] and
-    zero in every other pivot column, so its reduced entries are N[i][j]/D,
-    and the rows past the rank are zero but for their right-hand sides.
+    Returns the pivot columns and the row order: row i now holds the
+    reduction of input row order[i].  Afterwards row i < r carries D in
+    column pivot_cols[i] and zero in every other pivot column, so its
+    reduced entries are N[i][j]/D, and the rows past the rank are zero but
+    for their right-hand sides.
     """
     m = len(rows)
     order = list(range(m))
@@ -223,59 +198,44 @@ def _bareiss(rows, ncols, key, mul, sub, divexact):
         for i in range(rank + 1, m):
             row = rows[i]
             f = row[c]
-            new = ([sub(mul(piv, a), mul(f, b)) for a, b in zip(row, prow)]
-                   if f else [mul(piv, a) for a in row])
-            rows[i] = new if prev is None else [divexact(x, prev) if x else x
-                                                for x in new]
+            new = ([grid_sub(grid_mul(piv, a), grid_mul(f, b))
+                    for a, b in zip(row, prow)]
+                   if f else [grid_mul(piv, a) for a in row])
+            rows[i] = new if prev is None else [grid_divexact(x, prev) if x
+                                                else x for x in new]
         pivots.append(piv)
         pivot_cols.append(c)
     rank = len(pivot_cols)
     if rank < 2:
         return pivot_cols, order
     d = pivots[-1]
-    zero = sub(d, d)
     width = len(rows[0])
     others = [f for f in range(width) if f not in pivot_cols]
     for i in range(rank - 2, -1, -1):
         row = rows[i]
-        new = [zero] * width
+        new = [None] * width
         new[pivot_cols[i]] = d
         for f in others:
-            acc = mul(d, row[f]) if row[f] else zero
+            acc = grid_mul(d, row[f])
             for j in range(i + 1, rank):
                 u = row[pivot_cols[j]]
                 x = rows[j][f]
                 if u and x:
-                    acc = sub(acc, mul(u, x))
-            new[f] = divexact(acc, pivots[i]) if acc else acc
+                    acc = grid_sub(acc, grid_mul(u, x))
+            new[f] = grid_divexact(acc, pivots[i]) if acc else acc
         rows[i] = new
     return pivot_cols, order
 
 
-def _nullspace(n, pivot_cols, neg_entry, zero, scale):
-    """Kernel basis of a reduced system, one vector per free column f.
+# Pivot keys on a triple (low, content, coefficients); on one grid, low
+# orders valuations.  Ties go to the sparsest entry, to limit fill-in.
 
-    The vector holds `scale` at f, neg_entry(i, f) at the pivot column of
-    pivot row i, and zero elsewhere.  With scale 1 and neg_entry the
-    negated reduced entry -N/D, this is the usual basis; with scale D and
-    neg_entry the negated eliminated entry -N, it is that basis scaled
-    by D.
-    """
-    basis = []
-    for f in range(n):
-        if f in pivot_cols:
-            continue
-        vec = [zero] * n
-        vec[f] = scale
-        for i, c in enumerate(pivot_cols):
-            vec[c] = neg_entry(i, f)
-        basis.append(tuple(vec))
-    return basis
+def _least_valuation_key(x):
+    low, _, coeffs = x
+    return low, len(coeffs) - coeffs.count(0)
 
 
-def _grid_key(x):
-    # smallest |valuation| first to keep expansion orders near zero, then
-    # sparsest entry to limit fill-in; on one grid |low| orders |valuation|
+def _near_zero_key(x):
     low, _, coeffs = x
     return abs(low), len(coeffs) - coeffs.count(0)
 
@@ -293,33 +253,26 @@ def _clear_denominators(entries):
             for x in entries]
 
 
-def _integer_row(row, rhs):
-    """An augmented row of rationals times the lcm of its denominators."""
-    entries = [*row, rhs]
-    scale = math.lcm(*(x.denominator for x in entries))
-    return [x.numerator * (scale // x.denominator) for x in entries]
-
-
-def _eliminate(rows, ncols):
+def _eliminate(rows, ncols, key):
     """Bareiss elimination of rows of series scalars, cleared of denominators.
 
     Each cleared row i is scaled by L_i, the lcm of its contents'
-    denominators, and runs through `_bareiss` as integer triples on the
-    system's common grid Q (see `troplift.series.to_grid`).  Scaling the
-    input rows scales every minor by the scales of the rows it spans, so
-    the pivot rows come back scaled by S, the product of the pivot rows'
-    scales, and a row past the rank by S times its own; the objects are
-    built with those factors divided out.  Returns the eliminated Laurent
-    numerator rows N, the pivot columns and the common pivot D (1 at
-    rank 0); each reduced entry is N/D.
+    denominators, and runs through `_bareiss` with pivot key `key` as
+    integer triples on the system's common grid Q (see
+    `troplift.series.to_grid`).  Scaling the input rows scales every minor
+    by the scales of the rows it spans, so the pivot rows come back scaled
+    by S, the product of the pivot rows' scales, and a row past the rank
+    by S times its own; the objects are built with those factors divided
+    out.  Returns the eliminated Laurent numerator rows N, the pivot
+    columns and the common pivot D (1 at rank 0); each reduced entry is
+    N/D.
     """
     polys = [_clear_denominators(row) for row in rows]
     q = math.lcm(*(p.q for row in polys for p in row))
     scales = [math.lcm(*(p.content.denominator for p in row))
               for row in polys]
     grid = [[to_grid(p, q, s) for p in row] for row, s in zip(polys, scales)]
-    pivot_cols, order = _bareiss(grid, ncols, _grid_key, grid_mul, grid_sub,
-                                 grid_divexact)
+    pivot_cols, order = _bareiss(grid, ncols, key)
     rank = len(pivot_cols)
     s = math.prod(scales[k] for k in order[:rank])
     polys = [[from_grid(x, q, s if i < rank else s * scales[order[i]])
@@ -331,7 +284,9 @@ def _eliminate(rows, ncols):
 def rref_solve(matrix, rhs):
     """Reduce the augmented system (matrix | rhs) of series scalars.
 
-    Inconsistency is reported through the `consistent` flag, never raised.
+    Pivots by least valuation, so every reduced entry of a free column has
+    valuation >= 0.  Inconsistency is reported through the `consistent`
+    flag, never raised.
     """
     rhs = list(rhs)
     m = len(matrix)
@@ -339,7 +294,7 @@ def rref_solve(matrix, rhs):
     if len(rhs) != m:
         raise ValueError("rhs length does not match row count")
     polys, pivot_cols, d = _eliminate(
-        [[*row, b] for row, b in zip(matrix, rhs)], n)
+        [[*row, b] for row, b in zip(matrix, rhs)], n, _least_valuation_key)
     rank = len(pivot_cols)
     return RrefResult(
         num=tuple(map(tuple, polys)),
@@ -351,56 +306,26 @@ def rref_solve(matrix, rhs):
     )
 
 
-def solve_affine(matrix, rhs, ncols=None):
-    """Solution set of a rational linear system as an AffineSpace, or None.
-
-    Accepts a (possibly empty) list of coefficient rows; an empty
-    constraint list leaves the whole space of dimension ``ncols``.
-    """
-    rhs = list(rhs)
-    if len(rhs) != len(matrix):
-        raise ValueError("rhs length does not match row count")
-    if not matrix and ncols is None:
-        raise ValueError("empty system needs an explicit column count")
-    n = len(matrix[0]) if matrix else ncols
-    if ncols is not None and ncols != n:
-        raise ValueError("declared column count does not match rows")
-    ints = [_integer_row(row, b) for row, b in zip(matrix, rhs)]
-    # every nonzero integer is an equally good pivot
-    pivot_cols, _ = _bareiss(ints, n, lambda x: 0, operator.mul,
-                             operator.sub, operator.floordiv)
-    rank = len(pivot_cols)
-    if any(row[n] for row in ints[rank:]):
-        return None
-    d = ints[0][pivot_cols[0]] if rank else 1
-    offset = [Fraction(0)] * n
-    for c, row in zip(pivot_cols, ints):
-        offset[c] = Fraction(row[n], d)
-    basis = _nullspace(n, pivot_cols, lambda i, f: Fraction(-ints[i][f], d),
-                       Fraction(0), Fraction(1))
-    return AffineSpace(offset=tuple(offset), basis=tuple(basis),
-                       dim=len(basis))
-
-
 def kernel_basis(matrix, ncols=None):
     """Basis of the right kernel of a matrix of series scalars.
 
-    Each vector is the reduced-form basis vector scaled by the common
-    pivot D: D at its free column and -N at the pivot columns, so every
-    entry has denominator 1.  An empty matrix needs ``ncols`` and gives
-    the unit vectors.
+    One vector per free column f: the reduced-form basis vector scaled by
+    the common pivot D, so D at f, -N[i][f] at the pivot column of pivot
+    row i and zero elsewhere; every entry has denominator 1.  An empty
+    matrix needs ``ncols`` and gives the unit vectors.
     """
     if not matrix and ncols is None:
         raise ValueError("empty matrix needs an explicit column count")
     n = len(matrix[0]) if matrix else ncols
-    polys, pivot_cols, d = _eliminate(matrix, n)
-    return _nullspace(n, pivot_cols,
-                      lambda i, f: PuiseuxFraction(-polys[i][f]),
-                      PuiseuxFraction.zero(), PuiseuxFraction(d))
-
-
-def vanishes_identically(form, space):
-    """True iff an affine-linear form is 0 at every point of the space."""
-    if form.evaluate(space.offset):
-        return False
-    return all(not form.gradient_dot(vec) for vec in space.basis)
+    polys, pivot_cols, d = _eliminate(matrix, n, _near_zero_key)
+    zero = PuiseuxFraction.zero()
+    basis = []
+    for f in range(n):
+        if f in pivot_cols:
+            continue
+        vec = [zero] * n
+        vec[f] = PuiseuxFraction(d)
+        for i, c in enumerate(pivot_cols):
+            vec[c] = PuiseuxFraction(-polys[i][f])
+        basis.append(tuple(vec))
+    return basis

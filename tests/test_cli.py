@@ -415,3 +415,26 @@ class TestCliContract:
                      "--reps", "1"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out[1].endswith("skipped")
+
+    # numbers past the interpreter's 4,300-digit int conversion limit
+    @pytest.mark.parametrize("instance, v, location", [
+        ('{"A":[[{"num":[[0,"%s"]]}]],"b":[{"num":[[0,"1"]]}]}' % ("7" * 5000),
+         '"0"', "instance.A[0][0].num[0].coefficient"),
+        ('{"A":[[{"num":[[0,"1/%s"]]}]],"b":[{"num":[[0,"1"]]}]}' % ("7" * 5000),
+         '"0"', "instance.A[0][0].num[0].coefficient"),
+        ('{"A":[[{"num":[[0,"1"]]}]],"b":[{"num":[[0,"1"]]}]}',
+         '"%s"' % ("7" * 5000), "point.v[0]"),
+        ('{"A":[[{"num":[[%s,"1"]]}]],"b":[{"num":[[0,"1"]]}]}' % ("7" * 5000),
+         '"0"', "instance"),
+    ], ids=["coefficient-numerator", "coefficient-denominator",
+            "point-coordinate", "json-integer-exponent"])
+    def test_over_long_number_exits_2_fast(self, tmp_path, capsys, instance,
+                                           v, location):
+        inst = tmp_path / "inst.json"
+        inst.write_text(instance)
+        p = tmp_path / "p.json"
+        p.write_text('{"v":[%s]}' % v)
+        t0 = time.perf_counter()
+        assert main(["check", "-i", str(inst), "-p", str(p)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "input error: %s:" % location in capsys.readouterr().err

@@ -15,6 +15,7 @@ import pytest
 
 from troplift.lift import (
     Instance,
+    LiftInternalError,
     Member,
     NotMember,
     STAGE_EMPTY_CLASS,
@@ -34,7 +35,7 @@ from troplift.lift import (
     strip_infinite,
     verify_witness,
 )
-from troplift.linalg import rref_solve
+from troplift.linalg import RrefResult, rref_solve
 from troplift.oracle import member_oracle
 from troplift.series import INF, LaurentPolynomial, PuiseuxFraction
 
@@ -56,7 +57,7 @@ W4 = Instance.from_rows([[ONE, TM1P1, TM1]], [ONE])
 
 
 def forms_as_dicts(forms, layout):
-    """Translate linear forms into {(column, order): coeff} plus constant."""
+    """Translate linear forms into {column: coeff} plus constant."""
     out = []
     for form in forms:
         named = {layout.variables[i]: c for i, c in form.coeffs}
@@ -71,8 +72,8 @@ def run_stage_pipeline(inst, v):
     sub = part.subsystems[0]
     red = rref_solve(sub.matrix, sub.rhs)
     layout = attach_unknowns(sub, red)
-    must_vanish, must_not = build_forms(sub, red, layout)
-    return sub, red, layout, must_vanish, must_not
+    negative_rows, must_not = build_forms(sub, red, layout)
+    return sub, red, layout, negative_rows, must_not
 
 
 class TestStripInfinite:
@@ -160,18 +161,34 @@ class TestNormalizeAndPartition:
 class TestAttachUnknowns:
     def test_small_positive_valuation_pins_to_one(self):
         _, _, layout, _, _ = run_stage_pipeline(W1, (0, 0))
-        assert [fc.degree for fc in layout.free] == [None]
+        assert [fc.unknown for fc in layout.free] == [None]
         assert layout.variables == ()
 
     def test_negative_valuation_makes_polynomial(self):
-        _, _, layout, _, _ = run_stage_pipeline(W3, (0, 0))
-        assert [(fc.column, fc.degree) for fc in layout.free] == [(1, 1)]
-        assert layout.variables == ((1, 0), (1, 1))
+        # the column of valuation -1 is the pivot, not an ansatz of degree
+        # 1: the free column's entry t/(1 + t) has valuation 1, so it is
+        # pinned
+        _, red, layout, _, _ = run_stage_pipeline(W3, (0, 0))
+        assert red.pivot_cols == (1,)
+        assert [(fc.column, fc.unknown) for fc in layout.free] == [(0, None)]
+        assert layout.variables == ()
 
     def test_valuation_zero_single_coefficient(self):
         _, _, layout, _, _ = run_stage_pipeline(W2, (0, 0, 0))
-        assert [(fc.column, fc.degree) for fc in layout.free] == [(1, 0), (2, 0)]
-        assert layout.variables == ((1, 0), (2, 0))
+        assert [(fc.column, fc.unknown) for fc in layout.free] == [(1, 0), (2, 1)]
+        assert layout.variables == (1, 2)
+
+    def test_negative_free_entry_is_an_internal_error(self):
+        # W3 reduced on column 0, as a least-|valuation| pivot rule would:
+        # its free entry t^-1 + 1 has valuation -1, which no later stage
+        # handles
+        sub = normalize_and_partition(W3, (0, 0)).subsystems[0]
+        one = LaurentPolynomial.one()
+        red = RrefResult(num=((one, TM1P1.num, one),), den=one,
+                         pivot_cols=(0,), free_cols=(1,), rank=1,
+                         consistent=True)
+        with pytest.raises(LiftInternalError):
+            attach_unknowns(sub, red)
 
 
 class TestBuildForms:
@@ -182,23 +199,29 @@ class TestBuildForms:
         assert forms_as_dicts([f for _, f in keep], layout) == [(F(-1), {})]
 
     def test_negative_order_constraint(self):
-        _, _, layout, vanish, keep = run_stage_pipeline(W3, (0, 0))
-        assert forms_as_dicts(vanish, layout) == [(F(0), {(1, 0): F(1)})]
-        named = forms_as_dicts([f for _, f in keep], layout)
-        assert named == [
-            (F(-1), {(1, 0): F(1), (1, 1): F(1)}),  # order-zero residual
-            (F(0), {(1, 0): F(1)}),                 # leading ansatz coeff
-        ]
+        # orders < 0 can come only from a reduced right-hand side: at
+        # (1, 0), W1 reduces to x_0 + x_1 = t^-1
+        _, red, _, negative, keep = run_stage_pipeline(W1, (1, 0))
+        assert red.pivot_cols == (0,)
+        assert negative == [0]
+        assert keep == []
+        # W3's right-hand side t/(1 + t) has valuation 1: no negative
+        # order, and an order-zero residual that is the zero form
+        _, _, layout, negative, keep = run_stage_pipeline(W3, (0, 0))
+        assert negative == []
+        assert [label for label, _ in keep] == ["L[0,0]"]
+        assert forms_as_dicts([f for _, f in keep], layout) == [(F(0), {})]
 
     def test_three_column_forms(self):
-        _, _, layout, vanish, keep = run_stage_pipeline(W4, (0, 0, 0))
-        assert forms_as_dicts(vanish, layout) == [
-            (F(0), {(1, 0): F(1), (2, 0): F(1)})]
+        # pivot t^-1 (valuation -1, one term); x_2 + t*x_0 + (1 + t)*x_1 = t
+        _, red, layout, vanish, keep = run_stage_pipeline(W4, (0, 0, 0))
+        assert red.pivot_cols == (2,)
+        assert vanish == []
+        assert [label for label, _ in keep] == ["L[0,0]", "y[1,0]"]
         named = forms_as_dicts([f for _, f in keep], layout)
         assert named == [
-            (F(-1), {(1, 0): F(1), (1, 1): F(1), (2, 1): F(1)}),
-            (F(0), {(1, 0): F(1)}),
-            (F(0), {(2, 0): F(1)}),
+            (F(0), {1: F(1)}),  # order-zero residual
+            (F(0), {1: F(1)}),  # the unknown of exact column 1
         ]
 
 
@@ -212,10 +235,12 @@ class TestSolveAndSweep:
         assert outcome.stats.bound == 7
 
     def test_identically_vanishing_leading_coefficient(self):
+        # W3's pivot coordinate x_1 = t/(1 + t) - t/(1 + t) * x_0 has order
+        # 0 coefficient 0 whatever x_0 is
         _, _, layout, vanish, keep = run_stage_pipeline(W3, (0, 0))
         outcome = solve_and_sweep(vanish, keep, layout)
         assert outcome == NotMember(STAGE_FAMILY_L)
-        assert "y[1,0]" in outcome.detail
+        assert "L[0,0]" in outcome.detail
 
     def test_constant_contradiction(self):
         _, _, layout, vanish, keep = run_stage_pipeline(W1, (1, 0))
@@ -223,9 +248,12 @@ class TestSolveAndSweep:
         assert outcome == NotMember(STAGE_SYSTEM3)
 
     def test_sweep_skips_killed_candidates(self):
-        _, _, layout, vanish, keep = run_stage_pipeline(W4, (0, 0, 0))
+        inst = Instance.from_rows([[ONE, ONE, ONE]], [px({0: 2})])
+        _, _, layout, vanish, keep = run_stage_pipeline(inst, (0, 0, 0))
         outcome = solve_and_sweep(vanish, keep, layout)
-        assert outcome.stats.chosen_p == 2  # p=1 zeroes the order-0 residual
+        # p=1 zeroes the order-0 residual y_1 + y_2 - 2
+        assert outcome.stats.chosen_p == 2
+        assert outcome.values == (2, 4)
         assert outcome.stats.chosen_p <= outcome.stats.bound
 
 

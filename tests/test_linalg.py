@@ -1,24 +1,28 @@
 """Tests for exact elimination over both scalar fields."""
 
 import math
-import operator
 import random
+from collections import Counter
 from fractions import Fraction as F
 
-import pytest
-
+from troplift.lift import (
+    STAGE_INFEASIBLE,
+    STAGE_SYSTEM3,
+    Instance,
+    NotMember,
+    decide,
+    normalize_and_partition,
+    strip_infinite,
+)
 from troplift.linalg import (
-    LinearForm,
-    Matrix,
-    _bareiss,
     _clear_denominators,
     _eliminate,
+    _least_valuation_key,
     kernel_basis,
     rref_solve,
-    solve_affine,
-    vanishes_identically,
 )
 from troplift.series import (
+    INF,
     LaurentPolynomial,
     PuiseuxFraction,
     laurent_divexact,
@@ -94,12 +98,17 @@ class TestRrefSeriesField:
         assert not red.consistent
 
     def test_pivot_prefers_valuation_near_zero(self):
-        # [t^3, 1]: the unit entry is the pivot even though it sits right
+        # rref_solve pivots by least valuation.  [t^3, 1]: the unit entry
+        # is the pivot even though it sits right
         red = rref_solve([[px({3: 1}), ONE]], [ONE])
         assert red.pivot_cols == (1,)
-        # [1, t^-1 + 1]: valuation 0 beats valuation -1
+        # [1, t^-1 + 1]: valuation -1 beats valuation 0
         red = rref_solve([[ONE, px({-1: 1, 0: 1})]], [ONE])
-        assert red.pivot_cols == (0,)
+        assert red.pivot_cols == (1,)
+        # kernel_basis keeps the valuation nearest zero: pivot column 0,
+        # so the kernel vector carries D = 1 at free column 1
+        assert kernel_basis([[ONE, px({-1: 1, 0: 1})]]) == [
+            (px({-1: -1, 0: -1}), ONE)]
 
     def test_ratio_entries(self):
         a = PuiseuxFraction(LaurentPolynomial.one(),
@@ -216,6 +225,58 @@ class TestRrefSeriesField:
             seen["ratio_den"] += not red.den.is_monomial
         assert all(seen.values()), seen
 
+    def test_free_entries_never_negative_so_system3_is_a_valuation_read(self):
+        # With an integer point there is at most one residue slice, so
+        # decide rejects at System3Infeasible exactly when that slice is
+        # consistent and a pivot row's reduced right-hand side has
+        # valuation < 0.
+        rng = random.Random(67)
+        seen = Counter()
+
+        def reduce_checked(matrix, rhs):
+            red = rref_solve(matrix, rhs)
+            d = red.den.valuation()
+            for i in range(red.rank):
+                for f in red.free_cols:
+                    x = red.num[i][f]
+                    assert not x or x.valuation() >= d
+                    seen["free_val0"] += bool(x) and x.valuation() == d
+                    seen["free_val>0"] += bool(x) and x.valuation() > d
+            return red
+
+        for trial in range(200):
+            m, n = rng.randint(1, 4), rng.randint(1, 5)
+            if trial % 2:
+                rows = [[random_scalar(rng) for _ in range(n)]
+                        for _ in range(m)]
+                rhs = [random_scalar(rng) for _ in range(m)]
+            else:
+                dens = [rng.choice([1, 2, 3]) for _ in range(m)]
+                rows = [[grid_scalar(rng, d) for _ in range(n)] for d in dens]
+                rhs = [grid_scalar(rng, d) for d in dens]
+            v = tuple(rng.choice([-2, -1, 0, 0, 1, 2, INF]) for _ in range(n))
+            inst = Instance.from_rows(rows, rhs)
+            reduce_checked(rows, rhs)
+            stripped = strip_infinite(inst, v)
+            slices = normalize_and_partition(stripped.instance,
+                                             stripped.point).subsystems
+            assert len(slices) <= 1
+            negative = False
+            for sub in slices:
+                red = reduce_checked(sub.matrix, sub.rhs)
+                d = red.den.valuation()
+                negative = red.consistent and any(
+                    row[-1] and row[-1].valuation() < d
+                    for row in red.num[:red.rank])
+            result = decide(inst, v)
+            assert (result == NotMember(STAGE_SYSTEM3)) == negative
+            seen["system3"] += negative
+            seen["member"] += result.is_member
+            seen["other_rejection"] += (not result.is_member
+                                        and not negative
+                                        and result.stage != STAGE_INFEASIBLE)
+        assert all(seen.values()), seen
+
 
 def field_rref(rows, rhs, pivot_cols):
     """Gauss-Jordan over the series field with the given pivot columns."""
@@ -237,8 +298,8 @@ def gauss_jordan_bareiss(rows, ncols, key, divexact):
 
     Same pivot rule and row swaps, but each step also updates the rows
     that already hold a pivot, so it ends with the reduced numerators
-    directly.  It runs on Python ints or on LaurentPolynomial objects,
-    through their operators.
+    directly.  It runs on LaurentPolynomial objects, through their
+    operators.
     """
     m = len(rows)
     pivot_cols = []
@@ -274,8 +335,8 @@ def gauss_jordan_bareiss(rows, ncols, key, divexact):
 
 
 def poly_key(p):
-    """The series pivot key on Laurent polynomial objects."""
-    return abs(p.valuation()), p.term_count
+    """`rref_solve`'s pivot key on Laurent polynomial objects."""
+    return p.valuation(), p.term_count
 
 
 def eliminate_matches_gauss_jordan(rows, ncols):
@@ -286,7 +347,7 @@ def eliminate_matches_gauss_jordan(rows, ncols):
     """
     want = [_clear_denominators(row) for row in rows]
     want_cols = gauss_jordan_bareiss(want, ncols, poly_key, laurent_divexact)
-    got, got_cols, d = _eliminate(rows, ncols)
+    got, got_cols, d = _eliminate(rows, ncols, _least_valuation_key)
     assert got_cols == want_cols
     assert [list(row) for row in got] == want
     assert d == (want[0][want_cols[0]] if want_cols
@@ -400,152 +461,6 @@ class TestBareissKernel:
             seen["scaled_rhs_past_rank"] += any(
                 row[n] and row[n].content.denominator > 1 for row in got[rank:])
         assert all(seen.values()), seen
-
-    def test_integer_rows_match_gauss_jordan(self):
-        rng = random.Random(89)
-        seen = dict.fromkeys(["rank>=3", "deficient", "inconsistent", "tall",
-                              "wide", "one_row", "zero_column"], 0)
-        for _ in range(200):
-            m, n = rng.randint(1, 6), rng.randint(1, 6)
-            rows = [[rng.randint(-9, 9) if rng.random() < 0.7 else 0
-                     for _ in range(n + 1)] for _ in range(m)]
-            if m > 1 and rng.random() < 0.4:
-                a, b = rng.sample(range(m), 2)
-                lam = rng.randint(-3, 3)
-                rows[rng.randrange(m)] = [x + lam * y
-                                          for x, y in zip(rows[a], rows[b])]
-            if rng.random() < 0.2:
-                c = rng.randrange(n)
-                for row in rows:
-                    row[c] = 0
-            got = [list(row) for row in rows]
-            want = [list(row) for row in rows]
-            cols, _ = _bareiss(got, n, lambda x: 0, operator.mul, operator.sub,
-                               operator.floordiv)
-            assert cols == gauss_jordan_bareiss(want, n, lambda x: 0,
-                                                operator.floordiv)
-            assert got == want
-            tally_shapes(seen, rows, n, got, len(cols))
-        assert all(seen.values()), seen
-
-
-class TestSolveAffine:
-    def test_single_constraint(self):
-        space = solve_affine([[F(1), F(0)]], [F(0)])
-        assert space.offset == (0, 0)
-        assert space.basis == ((0, 1),)
-        assert space.dim == 1
-
-    def test_empty_constraints_whole_plane(self):
-        space = solve_affine([], [], ncols=2)
-        assert space.offset == (0, 0)
-        assert space.basis == ((1, 0), (0, 1))
-        assert space.dim == 2
-
-    def test_infeasible(self):
-        assert solve_affine([[F(1)], [F(1)]], [F(1), F(2)]) is None
-
-    def test_solutions_satisfy_system(self):
-        rng = random.Random(21)
-        for _ in range(30):
-            m, n = rng.randint(1, 4), rng.randint(1, 5)
-            rows = [[F(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)]
-            x0 = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-            rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
-            space = solve_affine(rows, rhs)
-            assert space is not None
-            for _ in range(5):
-                w = [F(rng.randint(-5, 5)) for _ in range(space.dim)]
-                pt = space.point(w)
-                for row, b in zip(rows, rhs):
-                    assert sum(a * x for a, x in zip(row, pt)) == b
-
-    def test_matches_plain_gauss_jordan(self):
-        rng = random.Random(47)
-        seen = {"none": 0, "deficient": 0, "zero_row": 0, "tall": 0, "wide": 0}
-        for _ in range(300):
-            m, n = rng.randint(1, 6), rng.randint(1, 6)
-            rows = [[F(rng.randint(-6, 6), rng.randint(1, 4))
-                     if rng.random() < 0.7 else F(0) for _ in range(n)]
-                    for _ in range(m)]
-            if m > 1 and rng.random() < 0.4:
-                # a combination of two rows makes the system rank-deficient
-                a, b = rng.sample(range(m), 2)
-                c = F(rng.randint(-3, 3), rng.randint(1, 3))
-                rows[rng.randrange(m)] = [x + c * y
-                                          for x, y in zip(rows[a], rows[b])]
-            if rng.random() < 0.15:
-                rows[rng.randrange(m)] = [F(0)] * n
-            x0 = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
-            rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
-            if rng.random() < 0.3:
-                rhs[rng.randrange(m)] += F(rng.randint(1, 5), rng.randint(1, 5))
-            want = reference_solve(rows, rhs)
-            got = solve_affine(rows, rhs)
-            if want is None:
-                assert got is None
-                seen["none"] += 1
-            else:
-                assert (got.offset, got.basis) == want
-                assert got.dim == len(want[1])
-                assert all(isinstance(v, F)
-                           for v in got.offset + sum(got.basis, ()))
-                seen["deficient"] += n - got.dim < min(m, n)
-            seen["zero_row"] += any(not any(row) for row in rows)
-            seen["tall"] += m > n
-            seen["wide"] += m < n
-        assert all(seen.values()), seen
-
-
-def reference_solve(rows, rhs):
-    """Plain Fraction Gauss-Jordan: (offset, basis) of the solutions, or None."""
-    a = [list(row) + [b] for row, b in zip(rows, rhs)]
-    n = len(rows[0])
-    pivots = []
-    for c in range(n):
-        r = next((r for r in range(len(pivots), len(a)) if a[r][c]), None)
-        if r is None:
-            continue
-        k = len(pivots)
-        a[r], a[k] = a[k], [x / a[r][c] for x in a[r]]
-        for i in range(len(a)):
-            f = a[i][c]
-            if i != k and f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-        pivots.append(c)
-    if any(row[n] for row in a[len(pivots):]):
-        return None
-    offset = [F(0)] * n
-    basis = []
-    for f in range(n):
-        vec = [F(0)] * n
-        vec[f] = F(1)
-        for i, c in enumerate(pivots):
-            offset[c] = a[i][n]
-            vec[c] = -a[i][f]
-        if f not in pivots:
-            basis.append(tuple(vec))
-    return tuple(offset), tuple(basis)
-
-
-class TestVanishesIdentically:
-    def test_pinned_coordinate(self):
-        space = solve_affine([[F(1), F(0)]], [F(0)])
-        f = LinearForm.make(0, {0: F(1)})
-        assert vanishes_identically(f, space)
-
-    def test_generic_form_on_whole_plane(self):
-        f = LinearForm.make(-1, {0: F(1), 1: F(1)})
-        assert not vanishes_identically(f, solve_affine([], [], ncols=2))
-
-    def test_sum_form_on_its_own_kernel(self):
-        space = solve_affine([[F(1), F(0), F(1), F(0)]], [F(0)])
-        f = LinearForm.make(0, {0: F(1), 2: F(1)})
-        assert vanishes_identically(f, space)
-
-    def test_zero_form_vanishes_everywhere(self):
-        f = LinearForm.make(0, {})
-        assert vanishes_identically(f, solve_affine([], [], ncols=3))
 
 
 class TestKernelBasis:
