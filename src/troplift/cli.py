@@ -53,7 +53,7 @@ def _read_json(path, what):
     try:
         with open(path, "rb") as fh:
             text = fh.read().decode("utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(str(exc), what)
     return loads(text, what)
 

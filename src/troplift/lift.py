@@ -14,21 +14,26 @@ yes.  The pipeline:
    zero); every subsystem keeps all columns, requiring valuation exactly
    0 on its own congruence class after column scaling and a strict
    valuation lower bound on the rest;
-3. per subsystem, row-reduce exactly, pivoting by least valuation, so
-   every reduced free-column entry has valuation >= 0; each local
-   coordinate must have valuation >= 0 too, so only the constant term of
-   a free coordinate reaches the orders <= 0 the verdict reads, and a
-   free column gets one constant unknown when some reduced entry of it
-   has valuation 0, and none otherwise;
+3. per subsystem, run the forward pass of an exact fraction-free
+   elimination, pivoting by least valuation, so every reduced
+   free-column entry has valuation >= 0, and then a back pass over
+   truncated series that keeps only the orders <= 0 of each reduced
+   entry, which is exact because each pivot has the least valuation in
+   its row; each local coordinate must have valuation >= 0 too, so only
+   the constant term of a free coordinate reaches the orders <= 0 the
+   verdict reads, and a free column gets one constant unknown when some
+   reduced entry of it has valuation 0, and none otherwise;
 4. the strictly negative orders of a pivot coordinate are then those of
    its reduced right-hand side, so the slice is infeasible exactly when
    one of those has valuation < 0; otherwise "every order-zero residual
    and every unknown that must be exact is nonzero" is a finite family
-   of affine-linear forms in the unknowns, each read off lowest
+   of affine-linear forms in the unknowns, each read off order-0
    coefficients, and a geometric-progression sweep finds values avoiding
    all their zero sets unless one of them is the zero form;
-5. back-substitute to exact pivot coordinates, undo the scalings, sum
-   the slices, and re-verify the witness before returning it.
+5. with the free coordinates y fixed, back-substitute the one column
+   b - A_free*y fraction-free to exact pivot coordinates, undo the
+   scalings, sum the slices, and re-verify the witness before returning
+   it.
 
 Failures are certified with the stage that rejected the point.
 """
@@ -392,15 +397,12 @@ class UnknownLayout:
     variables: tuple         # the columns that carry an unknown, in order
 
 
-def _reduced_val(red, i, j):
-    """Valuation of reduced entry (i, j), read as val(N) - val(D); INF at 0."""
-    x = red.num[i][j]
-    if not x:
-        return INF
-    val = x.valuation() - red.den.valuation()
-    if val.denominator != 1:
-        raise LiftInternalError("subsystem left the integer grid")
-    return int(val)
+def _head_valuation(orders):
+    """Valuation of a reduced entry read off its orders -K..0; INF when > 0."""
+    for k, c in enumerate(orders):
+        if c:
+            return k - len(orders) + 1
+    return INF
 
 
 def attach_unknowns(sub, red):
@@ -412,7 +414,7 @@ def attach_unknowns(sub, red):
     free = []
     variables = []
     for f in red.free_cols:
-        low = min((_reduced_val(red, i, f) for i in range(red.rank)),
+        low = min((_head_valuation(red.head[i][f]) for i in range(red.rank)),
                   default=INF)
         if low < 0:
             raise LiftInternalError("reduced entry of column %d has valuation "
@@ -427,20 +429,13 @@ def attach_unknowns(sub, red):
 
 # -- stage 4: coefficient forms -----------------------------------------------
 
-def _order0(red, i, j):
-    """Order-0 coefficient of a reduced entry of valuation >= 0."""
-    x = red.num[i][j]
-    if not x or x.valuation() != red.den.valuation():
-        return Fraction(0)
-    return x.lowest_coefficient() / red.den.lowest_coefficient()
-
-
 def build_forms(sub, red, layout):
     """Lowest-order conditions on each pivot coordinate and each unknown.
 
     Pivot coordinate i is (N_rhs - sum_f N_if * x_f) / D.  Every free
     entry N_if/D and every x_f has valuation >= 0, so the orders < 0 of
-    the coordinate are those of N_rhs/D, which must then be >= 0.  Its
+    the coordinate are those of N_rhs/D, which must then be >= 0; all of
+    it is read off `red.head`, the orders <= 0 of the reduced entries.  Its
     order-0 coefficient must additionally be nonzero when the pivot
     column's valuation has to be exactly 0, and so must the unknown of
     every exact free column.  Returns (negative_rows, must_not): the pivot
@@ -448,7 +443,7 @@ def build_forms(sub, red, layout):
     none, each form that must not vanish paired with a printable label.
     """
     negative_rows = [i for i in range(red.rank)
-                     if _reduced_val(red, i, -1) < 0]
+                     if _head_valuation(red.head[i][-1]) < 0]
     if negative_rows:
         return negative_rows, []
     must_not = []
@@ -456,10 +451,11 @@ def build_forms(sub, red, layout):
         if sub.exact[red.pivot_cols[i]]:
             # the residual -x_i; a column without an unknown has order-0
             # entries 0, whatever its pinned value
-            coeffs = {fc.unknown: _order0(red, i, fc.column)
+            head = red.head[i]
+            coeffs = {fc.unknown: head[fc.column][-1]
                       for fc in layout.free if fc.unknown is not None}
             must_not.append(("L[%d,0]" % i,
-                             LinearForm.make(-_order0(red, i, -1), coeffs)))
+                             LinearForm.make(-head[-1][-1], coeffs)))
     for fc in layout.free:
         if fc.unknown is not None and fc.exact:
             must_not.append(("y[%d,0]" % fc.column,
@@ -507,9 +503,11 @@ def solve_and_sweep(negative_rows, must_not, layout):
 def reconstruct_witness(sub, red, layout, values):
     """Assemble the subsystem's coordinate contributions from swept values.
 
-    Returns {column: contribution} in the regridded frame (shifts undone);
-    the full witness coordinate is the sum of contributions over all
-    subsystems.
+    Free coordinates are the swept constants (1 or 0 where a column has
+    no unknown); the pivot coordinates are B^-1 (b - A_free*y), one exact
+    column (`RrefResult.pivot_values`).  Returns {column: contribution}
+    in the regridded frame (shifts undone); the full witness coordinate
+    is the sum of contributions over all subsystems.
     """
     locals_ = {}
     for fc in layout.free:
@@ -518,14 +516,7 @@ def reconstruct_witness(sub, red, layout, values):
         else:
             locals_[fc.column] = Fraction(1 if fc.exact else 0)
     coords = {col: PuiseuxFraction(x) for col, x in locals_.items()}
-    # pivot coordinate i is (N_rhs - sum_f N_if * x_f) / D: a polynomial
-    # sum, reduced once
-    for i, row in enumerate(red.num[:red.rank]):
-        acc = row[-1]
-        for col, x in locals_.items():
-            if row[col] and x:
-                acc = acc - row[col].scale(x)
-        coords[red.pivot_cols[i]] = PuiseuxFraction(acc, red.den)
+    coords.update(zip(red.pivot_cols, red.pivot_values(locals_)))
     return {col: coords[col].shift(sub.shifts[col])
             for col in range(len(sub.shifts))}
 

@@ -438,3 +438,21 @@ class TestCliContract:
         assert main(["check", "-i", str(inst), "-p", str(p)]) == 2
         assert time.perf_counter() - t0 < 1.0
         assert "input error: %s:" % location in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, bad", [
+        ("check", "instance"), ("check", "point"), ("verify", "instance"),
+        ("verify", "point"), ("verify", "witness")])
+    def test_non_utf8_file_exits_2(self, files, capsys, command, bad):
+        tmp, inst, point = files
+        paths = {"instance": inst, "point": point(["0", "0"]),
+                 "witness": str(tmp / "witness.json")}
+        (tmp / "witness.json").write_text('{"x": ["1", "1"]}')
+        # a UTF-16 byte-order mark, then bytes that are not UTF-8
+        garbled = tmp / "garbled.json"
+        garbled.write_bytes(b"\xff\xfe{\x00}\x00")
+        paths[bad] = str(garbled)
+        args = [command, "-i", paths["instance"], "-p", paths["point"]]
+        if command == "verify":
+            args += ["-w", paths["witness"]]
+        assert main(args) == 2
+        assert "input error: %s:" % bad in capsys.readouterr().err

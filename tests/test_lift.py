@@ -181,12 +181,12 @@ class TestAttachUnknowns:
     def test_negative_free_entry_is_an_internal_error(self):
         # W3 reduced on column 0, as a least-|valuation| pivot rule would:
         # its free entry t^-1 + 1 has valuation -1, which no later stage
-        # handles
+        # handles; its orders -1..0 are (1, 1)
         sub = normalize_and_partition(W3, (0, 0)).subsystems[0]
-        one = LaurentPolynomial.one()
-        red = RrefResult(num=((one, TM1P1.num, one),), den=one,
-                         pivot_cols=(0,), free_cols=(1,), rank=1,
-                         consistent=True)
+        red = RrefResult(pivot_cols=(0,), free_cols=(1,), rank=1,
+                         consistent=True,
+                         head=(((F(1),), (F(1), F(1)), (F(1),)),),
+                         echelon=None)
         with pytest.raises(LiftInternalError):
             attach_unknowns(sub, red)
 
@@ -271,13 +271,16 @@ class TestReconstructWitness:
         assert coords == {0: px({3: 1}), 1: px({-1: 1, 2: -1})}
 
     def test_stages_never_build_reduced_entries(self):
-        # each reduced entry N/D costs a gcd; the stages read N and D
+        # N, D and the reduced entries N/D take the full back pass; the
+        # stages read the order-<=0 table and back-substitute one column
+        lazy = ("num", "den", "matrix", "rhs")
         sub, red, layout, vanish, keep = run_stage_pipeline(W4, (0, 0, 0))
         outcome = solve_and_sweep(vanish, keep, layout)
         reconstruct_witness(sub, red, layout, outcome.values)
-        assert "matrix" not in vars(red) and "rhs" not in vars(red)
+        assert not any(name in vars(red) for name in lazy)
         assert red.matrix[0][red.pivot_cols[0]] == ONE
-        assert "matrix" in vars(red)
+        assert red.rhs == (T,)
+        assert all(name in vars(red) for name in lazy)
 
 
 class TestDecideFixtures:

@@ -277,6 +277,67 @@ class TestRrefSeriesField:
                                         and result.stage != STAGE_INFEASIBLE)
         assert all(seen.values()), seen
 
+    def test_order0_table_and_witness_column_match_full_back_pass(self):
+        # `head` against the expansions through order 0 of the full back
+        # pass's N/D, entry by entry, and `pivot_values` against
+        # (N_rhs - sum_f N_f*y_f)/D, on systems over grids 1..3 with ratio
+        # entries, right-hand sides of negative valuation, rank 0, rank 1,
+        # rank-deficient and inconsistent systems
+        rng = random.Random(71)
+        seen = Counter()
+        for trial in range(200):
+            m, n = rng.randint(1, 4), rng.randint(1, 5)
+            dens = [rng.choice([1, 2, 3]) for _ in range(m)]
+            rows = [[grid_scalar(rng, d) for _ in range(n)] for d in dens]
+            rhs = [grid_scalar(rng, d) for d in dens]
+            shape = trial % 4
+            if shape == 0:
+                # push the right-hand sides below the pivots' valuations
+                rhs = [x * px({-rng.randint(1, 4): 1}) for x in rhs]
+            elif shape == 1 and m > 1:
+                lam = random_scalar(rng, zero=False)
+                k = rng.randrange(1, m)
+                rows[k] = [a + lam * b for a, b in zip(rows[0], rows[k - 1])]
+                rhs[k] = rhs[0] + lam * rhs[k - 1]
+                if rng.random() < 0.5:
+                    rhs[k] = rhs[k] + ONE
+            elif shape == 2:
+                base = rows[0] if rng.random() < 0.7 else [ZERO] * n
+                rows = [[random_scalar(rng, zero=False) * x for x in base]
+                        for _ in range(m)]
+            red = rref_solve(rows, rhs)
+            q = red.echelon.q
+            # every column, pivot columns and the right-hand side included
+            entries = [(i, j) for i in range(red.rank) for j in range(n + 1)]
+            expansions = shared_expansions(
+                [red.num[i][j] for i, j in entries], red.den, 0)
+            for (i, j), want in zip(entries, expansions):
+                head = red.head[i][j]
+                got = {F(k - len(head) + 1, q): c
+                       for k, c in enumerate(head) if c}
+                assert got == want
+                seen["negative_rhs"] += j == n and min(want, default=0) < 0
+                seen["depth>=2"] += len(head) > 2
+            for den in (1, rng.randint(2, 6)):
+                ys = {f: F(rng.randint(-5, 5), den) for f in red.free_cols}
+                got = red.pivot_values(ys)
+                assert len(got) == red.rank
+                for x, row in zip(got, red.num):
+                    acc = row[n]
+                    for f, y in ys.items():
+                        acc = acc - row[f].scale(y)
+                    # x = acc / D, checked without a gcd
+                    assert x.num * red.den == acc * x.den
+                seen["rational_y"] += any(y.denominator > 1
+                                          for y in ys.values())
+            seen["grid>1"] += q > 1
+            seen["ratio"] += any(not x.den.is_one for row in rows for x in row)
+            seen["rank0"] += red.rank == 0
+            seen["rank1"] += red.rank == 1
+            seen["deficient"] += 0 < red.rank < min(m, n)
+            seen["inconsistent"] += not red.consistent
+        assert all(seen.values()), seen
+
 
 def field_rref(rows, rhs, pivot_cols):
     """Gauss-Jordan over the series field with the given pivot columns."""
@@ -294,7 +355,7 @@ def field_rref(rows, rhs, pivot_cols):
 
 
 def gauss_jordan_bareiss(rows, ncols, key, divexact):
-    """One-pass fraction-free Gauss-Jordan: the reference for `_bareiss`.
+    """One-pass fraction-free Gauss-Jordan: the reference for both passes.
 
     Same pivot rule and row swaps, but each step also updates the rows
     that already hold a pivot, so it ends with the reduced numerators
