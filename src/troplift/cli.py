@@ -229,7 +229,10 @@ def _kernel_timings(seed, budget_s=0.1):
 
     The multiply times a * b; the exact divide splits that product by b;
     the gcd is that of the pair, coprime like most gcds `decide` takes;
-    the expansion is a/b through order KERNEL_EXPANSION_ORDER.
+    the expansion is a/b through order KERNEL_EXPANSION_ORDER.  Each round
+    gives every row one window of `budget_s` in turn, and a row keeps its
+    best window, so a stall of the machine costs one window of one round
+    rather than all windows of one row.
     """
     rng = random.Random(seed)
 
@@ -239,17 +242,6 @@ def _kernel_timings(seed, budget_s=0.1):
                                         | 1 << (bits - 1))
              for i in range(terms)})
 
-    def best_ms(op, *args):
-        best = math.inf
-        for _ in range(3):
-            calls = 0
-            t0 = time.perf_counter()
-            while time.perf_counter() - t0 < budget_s:
-                op(*args)
-                calls += 1
-            best = min(best, (time.perf_counter() - t0) / calls)
-        return round(best * 1000.0, 4)
-
     pairs = [(terms, bits, operand(terms, bits), operand(terms, bits))
              for terms, bits in KERNEL_SIZES]
     kernels = (("LaurentPolynomial.__mul__", lambda a, b: (operator.mul, a, b)),
@@ -258,9 +250,19 @@ def _kernel_timings(seed, budget_s=0.1):
                ("shared_expansions",
                 lambda a, b: (shared_expansions, [a], b,
                               KERNEL_EXPANSION_ORDER)))
-    return [{"op": name, "terms": terms, "bits": bits,
-             "ms": best_ms(*call(a, b))}
+    rows = [({"op": name, "terms": terms, "bits": bits}, call(a, b))
             for name, call in kernels for terms, bits, a, b in pairs]
+    best = [math.inf] * len(rows)
+    for _ in range(3):
+        for k, (_, (op, *args)) in enumerate(rows):
+            calls = 0
+            t0 = time.perf_counter()
+            while time.perf_counter() - t0 < budget_s:
+                op(*args)
+                calls += 1
+            best[k] = min(best[k], (time.perf_counter() - t0) / calls)
+    return [dict(row, ms=round(b * 1000.0, 4))
+            for (row, _), b in zip(rows, best)]
 
 
 def _cmd_bench(args):

@@ -12,6 +12,16 @@ which the kernels (product, gcd, exact division, expansion) read directly;
 series elimination of `troplift.linalg` runs on the same lists, all on
 one grid, without building polynomial objects (`grid_mul`, `grid_sub`,
 `grid_divexact`).
+
+Large products and exact quotients use Kronecker substitution
+(Schönhage 1982): a list is evaluated at t = 2**(8*nb) through bytes and
+read back as balanced nb-byte digits.  Every exact division ends in
+`_divexact_ascending`.  Its packed route is one integer divmod whose
+quotient digits are used only under a certificate that makes quotient
+times divisor equal the dividend digit by digit.  Short quotients,
+uncertified ones and dividends with coefficients of
+KRONECKER_DIVIDE_MAX_BITS bits or more, where packing is the slower,
+take a term-by-term loop instead.
 """
 
 from __future__ import annotations
@@ -23,8 +33,14 @@ from functools import reduce
 INF = float("inf")
 
 # Products whose shorter factor has fewer nonzero terms than this are
-# convolved term by term, which beats packing at that size.
+# convolved term by term, which beats packing at that size.  Exact
+# quotients apply the same rule to the shorter of quotient and divisor.
 KRONECKER_MIN_TERMS = 8
+
+# Exact quotients whose dividend has a coefficient of this many bits or
+# more are divided term by term (see `_divexact_ascending`); on the
+# criterion-7 quotients the loop is the faster from about 320 bits up.
+KRONECKER_DIVIDE_MAX_BITS = 320
 
 __all__ = [
     "INF",
@@ -383,22 +399,37 @@ def _mul_lists(a, b):
     return out
 
 
+def _digit_offset(half, nb, slots):
+    """sum half*t**i over i < slots, t = 2**(8*nb): half a digit per slot."""
+    return int.from_bytes(half.to_bytes(nb, "little") * slots, "little")
+
+
 def _pack(coeffs, nb):
     """Value at t = 2**(8*nb) of sum coeffs[i]*t**i, packed through bytes.
 
-    Positive and negative coefficients fill separate byte strings, so
-    each is one linear-time join and one int.from_bytes.
+    Every |coeffs[i]| must be under 2**(8*nb-1).  Adding half a digit to
+    each makes it one unsigned nb-byte digit, so the value is one join and
+    one int.from_bytes, less the same offset.
     """
-    zero = bytes(nb)
-    pos = [zero] * len(coeffs)
-    neg = list(pos)
-    for i, c in enumerate(coeffs):
-        if c > 0:
-            pos[i] = c.to_bytes(nb, "little")
-        elif c:
-            neg[i] = (-c).to_bytes(nb, "little")
-    return (int.from_bytes(b"".join(pos), "little")
-            - int.from_bytes(b"".join(neg), "little"))
+    half = 1 << (8 * nb - 1)
+    data = b"".join([(c + half).to_bytes(nb, "little") for c in coeffs])
+    return (int.from_bytes(data, "little")
+            - _digit_offset(half, nb, len(coeffs)))
+
+
+def _unpack(x, nb, slots):
+    """The balanced nb-byte digits c_0..c_(slots-1) of x = sum c_i*t**i.
+
+    t = 2**(8*nb) and every |c_i| < 2**(8*nb-1).  Raises OverflowError if
+    x has no such form in `slots` digits.
+    """
+    # adding half a digit to every slot makes each digit nonnegative, so
+    # the bytes of the sum are the digits with no borrows between them
+    half = 1 << (8 * nb - 1)
+    data = (x + _digit_offset(half, nb, slots)).to_bytes(nb * slots, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(data[i:i + nb], "little") - half
+            for i in range(0, nb * slots, nb)]
 
 
 def _kronecker_mul(a, b):
@@ -412,16 +443,7 @@ def _kronecker_mul(a, b):
     """
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     nb = bound.bit_length() // 8 + 1
-    slots = len(a) + len(b) - 1
-    product = _pack(a, nb) * _pack(b, nb)
-    # adding half a digit to every slot makes each digit nonnegative, so
-    # the bytes of the sum are the digits with no borrows between them
-    half = 1 << (8 * nb - 1)
-    offset = int.from_bytes(half.to_bytes(nb, "little") * slots, "little")
-    data = (product + offset).to_bytes(nb * slots, "little")
-    from_bytes = int.from_bytes
-    return [from_bytes(data[i:i + nb], "little") - half
-            for i in range(0, nb * slots, nb)]
+    return _unpack(_pack(a, nb) * _pack(b, nb), nb, len(a) + len(b) - 1)
 
 
 def _trim(p):
@@ -520,10 +542,33 @@ def _int_poly_gcd(a, b):
 
 
 def _divexact_ascending(p, d):
-    """Exact quotient of ascending integer lists with d[0] != 0; raises if inexact."""
+    """Exact quotient of ascending integer lists with d[0] != 0.
+
+    Raises ArithmeticError if d does not divide p, on either route.
+    When quotient and divisor both have at least KRONECKER_MIN_TERMS
+    slots and the dividend's coefficients stay under
+    KRONECKER_DIVIDE_MAX_BITS bits, the quotient is one integer division
+    (`_kronecker_divexact`), used only if its digits pass the certificate
+    max|q| * max|d| * min(len(q), len(d)) < 2**(8*nb-1).  Otherwise, or
+    without the certificate, a loop divides term by term; it is exact on
+    its own.  Short quotients cost the packing more than the loop.  From
+    the bit crossover up, the packed digits, as wide as the dividend's
+    coefficients, cost CPython's long division (quadratic in the digit
+    width) more than the loop pays multiplying the narrower coefficients
+    of q and d.
+    """
     n = len(p) - len(d) + 1
     if n <= 0:
         raise ArithmeticError("inexact polynomial division")
+    if n >= KRONECKER_MIN_TERMS and len(d) >= KRONECKER_MIN_TERMS:
+        top = max(map(abs, p))
+        if top.bit_length() < KRONECKER_DIVIDE_MAX_BITS:
+            # max|q|*max|d| rarely exceeds max|p| by more than two bits;
+            # four guard bits leave the certificate to catch the rest
+            nb = ((top * min(n, len(d))).bit_length() + 4) // 8 + 1
+            q = _kronecker_divexact(p, d, nb, n)
+            if q is not None:
+                return q
     q = [0] * n
     r = list(p)
     d0 = d[0]
@@ -539,6 +584,33 @@ def _divexact_ascending(p, d):
     if any(r):
         raise ArithmeticError("inexact polynomial division")
     return q
+
+
+def _kronecker_divexact(p, d, nb, n):
+    """The n-slot quotient p/d by Kronecker substitution, or None.
+
+    p and d are evaluated at t = 2**(8*nb), where every coefficient of p
+    fits a balanced digit, and divided once as integers.  If d divides p,
+    then d(t) divides p(t), so a nonzero remainder proves the division
+    inexact and raises ArithmeticError.  The integer quotient is read back
+    as balanced nb-byte digits q and returned only under the certificate
+    max|q| * max|d| * min(n, len(d)) < 2**(8*nb-1): then no coefficient
+    of q*d overflows its digit either, so q*d and p, equal at t, are equal
+    digit by digit and q is the true quotient.  Without it the result is
+    None, and the caller divides term by term.
+    """
+    half = 1 << (8 * nb - 1)
+    spread = max(map(abs, d)) * min(n, len(d))
+    if spread >= half:  # no nonzero q could pass; d may not even fit
+        return None
+    quotient, rem = divmod(_pack(p, nb), _pack(d, nb))
+    if rem:
+        raise ArithmeticError("inexact polynomial division")
+    try:
+        q = _unpack(quotient, nb, n)
+    except OverflowError:
+        return None
+    return q if max(map(abs, q)) * spread < half else None
 
 
 def laurent_gcd(a, b):

@@ -1,12 +1,16 @@
 """Tests for the exact scalar field: Laurent polynomials and their ratios."""
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from troplift import series
 from troplift.series import (
     INF,
+    KRONECKER_DIVIDE_MAX_BITS,
     KRONECKER_MIN_TERMS,
     LaurentPolynomial,
     PuiseuxFraction,
@@ -385,3 +389,139 @@ class TestMultiply:
             for a, b in ((mono, dense), (dense, holes), (holes, holes),
                          (far, dense), (far, far)):
                 self.check(a, b)
+
+
+def convolve(a, b):
+    """Reference product of two ascending integer lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Counts which route each exact quotient took.
+
+    "short": quotient or divisor has under KRONECKER_MIN_TERMS slots;
+    "wide": the dividend reaches KRONECKER_DIVIDE_MAX_BITS bits; both go
+    to the loop.  "kronecker": the packed division ran, and "uncertified":
+    its quotient failed the certificate, so the loop ran after it.
+    """
+    seen = Counter()
+    divide, kronecker = series._divexact_ascending, series._kronecker_divexact
+
+    def spy_divide(p, d):
+        if min(len(p) - len(d) + 1, len(d)) < KRONECKER_MIN_TERMS:
+            seen["short"] += 1
+        elif max(map(abs, p)).bit_length() >= KRONECKER_DIVIDE_MAX_BITS:
+            seen["wide"] += 1
+        return divide(p, d)
+
+    def spy_kronecker(*args):
+        seen["kronecker"] += 1
+        q = kronecker(*args)
+        seen["uncertified"] += q is None
+        return q
+
+    monkeypatch.setattr(series, "_divexact_ascending", spy_divide)
+    monkeypatch.setattr(series, "_kronecker_divexact", spy_kronecker)
+    return seen
+
+
+class TestDivide:
+    """Every exact quotient of a schoolbook product q*d gives back q and
+    d, on both routes: one packed integer division when quotient and
+    divisor both have KRONECKER_MIN_TERMS slots and the dividend stays
+    under KRONECKER_DIVIDE_MAX_BITS bits, the loop otherwise.  Every
+    inexact division raises on both."""
+
+    @staticmethod
+    def check(q, d):
+        p = schoolbook(q, d)
+        for got, want in ((laurent_divexact(p, d), q),
+                          (laurent_divexact(p, q), d)):
+            assert (got.q, got.terms()) == (want.q, want.terms())
+            assert got == want and hash(got) == hash(want)
+
+    def test_seeded_products_divide_back(self, routes):
+        rng = random.Random(71)
+        for _ in range(300):
+            ops = []
+            for _ in range(2):
+                terms = rng.choice((1, 2, 5, 8, 9, 12, 30))
+                bits = rng.choice((1, 4, 30, 64, 150, 220, 300))
+                coeffs = [rng.randint(-(1 << bits), 1 << bits)
+                          for _ in range(terms)]
+                coeffs[0] = coeffs[0] or 1
+                content = F(rng.choice((-3, 1, 2, 7)), rng.choice((1, 5, 12)))
+                ops.append(spaced(coeffs, gap=rng.choice((1, 1, 2, 3)),
+                                  q=rng.choice((1, 2)),
+                                  start=rng.randint(-20, 20), content=content))
+            self.check(*ops)
+        assert routes["kronecker"] >= 100 and routes["wide"] >= 50
+        assert routes["short"] >= 100 and routes["uncertified"] == 0
+
+    def test_digit_boundary_coefficients(self, routes):
+        edges = (1 << 63) - 1, -((1 << 63) - 1), -(1 << 63), 1 << 127
+        rng = random.Random(72)
+        for _ in range(20):
+            coeffs = [rng.choice(edges + (0, 1, -1, 5)) for _ in range(2, 20)]
+            for c in edges:
+                q = spaced([1, c] + coeffs[:rng.randint(6, 18)])
+                d = spaced([c] * 9 + [-1], start=rng.randint(-3, 3))
+                self.check(q, d)
+        # the product bound max|q|*max|d|*min(terms) reached exactly
+        for k, M in ((127, 1), (8, 16), (31, 1057), (8, 1 << 12),
+                     (49, ((1 << 63) - 1) // 49), (8, 1 << 60)):
+            for sign in (1, -1):
+                self.check(spaced([sign] * k), spaced([1] + [M] * (k + 3)))
+        assert routes["kronecker"] >= 150 and routes["uncertified"] == 0
+
+    def test_quotient_wider_than_dividend(self, routes):
+        # (1 - t)^k * (1 + t)^k = (1 - t^2)^k: each factor's middle
+        # binomial is as large as the product's, so max|q|*max|d| is
+        # about max|p| squared and overflows a digit sized from max|p|
+        k = 24
+        minus = spaced([(-1) ** i * math.comb(k, i) for i in range(k + 1)])
+        plus = spaced([math.comb(k, i) for i in range(k + 1)])
+        self.check(minus, plus)
+        assert routes["kronecker"] == 2 and routes["uncertified"] == 2
+        # (1 - t^10)^8 / (1 - t)^8: the quotient's coefficients, up to
+        # 4,816,030, do not fit the 16-bit digits sized from max|p| = 70,
+        # so the digits read back carry into each other
+        ones = spaced([1] * 10)
+        self.check(ones * ones * ones * ones * ones * ones * ones * ones,
+                   spaced([(-1) ** i * math.comb(8, i) for i in range(9)]))
+        assert routes["kronecker"] == 4 and routes["uncertified"] == 4
+        # d = 1 + t and q = 1, -2, 3, -4, ...: two divisor slots, the loop
+        self.check(spaced([(-1) ** i * (i + 1) for i in range(40)]),
+                   spaced([1, 1]))
+        assert routes["short"] == 2
+
+    def test_quotient_out_of_digit_range_is_not_certified(self):
+        # p(t) = 7,720,000 = 40,000 * d(t) at t = 256, but 40,000 has no
+        # two balanced 8-bit digits; p / d is inexact as polynomials
+        p, d = [64, -52, 118], [-63, 1]
+        assert series._kronecker_divexact(p, d, 1, 2) is None
+        with pytest.raises(ArithmeticError):
+            series._divexact_ascending(p, d)
+
+    @pytest.mark.parametrize("route, terms, bits", [
+        ("kronecker", 12, 60), ("short", 4, 60), ("wide", 12, 200)])
+    def test_inexact_division_raises(self, routes, route, terms, bits):
+        rng = random.Random(73)
+        q, d = ([rng.randint(-(1 << bits), 1 << bits) or 1
+                 for _ in range(terms)] for _ in range(2))
+        p = convolve(q, d)
+        assert series._divexact_ascending(p, d) == q
+        for i in (0, len(p) // 2, len(p) - 1):
+            bad = list(p)
+            bad[i] += 1
+            with pytest.raises(ArithmeticError):
+                series._divexact_ascending(bad, d)
+        assert routes[route] == 4 and routes["uncertified"] == 0
+        assert routes["kronecker"] == (4 if route == "kronecker" else 0)
+        with pytest.raises(ArithmeticError):  # dividend shorter than divisor
+            series._divexact_ascending(p[:len(d) - 1], d)

@@ -5,7 +5,8 @@ written as s**k * F(s), with s = t^(1/Q) for Q the lcm of a pair's grids
 and F a sympy polynomial with a nonzero constant term.  Every result of
 `+`, `*`, `laurent_gcd`, `laurent_divexact` and the reduction of
 `PuiseuxFraction(a, b)` is compared with sympy's polynomial arithmetic,
-`gcd` and `div`.  sympy is a test-only dependency.
+`gcd` and `div`.  sympy is a test-only dependency.  One seed draws wide
+operands, whose products' coefficients pass KRONECKER_DIVIDE_MAX_BITS.
 """
 
 import math
@@ -26,13 +27,14 @@ from troplift.series import (  # noqa: E402
 S = sympy.Symbol("s")
 
 
-def draw(rng):
+def draw(rng, wide=False):
     """A monomial, or up to 8 terms with gaps, negative exponents and
-    rational coefficients of up to 200 bits."""
+    rational coefficients of up to 200 bits; if wide, 8 to 12 terms of
+    160 to 240 bits."""
     q = rng.choice((1, 2, 3))
-    bits = rng.choice((3, 30, 200))
+    bits = rng.choice((160, 240) if wide else (3, 30, 200))
     low = rng.randint(-8, 4)
-    count = rng.choice((1, 1, 2, 3, 5, 8))
+    count = rng.choice((8, 12) if wide else (1, 1, 2, 3, 5, 8))
     return LaurentPolynomial.from_terms({
         F(low + k, q): F(rng.randint(1, 1 << bits) * rng.choice((1, -1)),
                          rng.choice((1, 1, 6, 1 << bits)))
@@ -58,19 +60,23 @@ def normal(k, f):
                                domain="QQ")
 
 
-def pairs(seed, count):
+def pairs(seed, count, wide):
     rng = random.Random(seed)
     for _ in range(count):
-        a, b = draw(rng), draw(rng)
+        a, b = draw(rng, wide), draw(rng, wide)
         if rng.random() < 0.5:  # plant a common factor
-            c = draw(rng)
+            c = draw(rng, wide)
             a, b = a * c, b * c
         yield a, b
 
 
-@pytest.mark.parametrize("seed", [101, 202, 303])
-def test_kernels_match_sympy(seed):
-    for a, b in pairs(seed, 40):
+@pytest.mark.parametrize("seed, count, wide", [
+    pytest.param(101, 40, False, id="101"),
+    pytest.param(202, 40, False, id="202"),
+    pytest.param(303, 40, False, id="303"),
+    pytest.param(404, 12, True, id="404-wide")])
+def test_kernels_match_sympy(seed, count, wide):
+    for a, b in pairs(seed, count, wide):
         grid = math.lcm(a.q, b.q)
         (ka, fa), (kb, fb) = split(a, grid), split(b, grid)
         low = min(ka, kb)
