@@ -84,8 +84,11 @@ def _cmd_check(args):
         raise FormatError(exc.reason, "point." + exc.location) from exc
     decide_ms = (time.perf_counter() - t0) * 1000.0
     out = {"verdict": "member" if result.is_member else "not_member"}
+    serialize_ms = 0.0
     if result.is_member:
+        t0 = time.perf_counter()
         out["witness"] = [serialize_scalar(x) for x in result.witness]
+        serialize_ms = (time.perf_counter() - t0) * 1000.0
         if order is not None:
             _check_order(order, inst, point)
             out["witness_expanded"] = [render_series(x, order)
@@ -95,7 +98,9 @@ def _cmd_check(args):
         print("rejected: %s" % result.detail, file=sys.stderr)
     out["timings"] = {"parse_ms": round(parse_ms, 3),
                       "decide_ms": round(decide_ms, 3),
-                      "total_ms": round(parse_ms + decide_ms, 3)}
+                      "serialize_ms": round(serialize_ms, 3),
+                      "total_ms": round(parse_ms + decide_ms + serialize_ms,
+                                        3)}
     print(json.dumps(out, indent=2))
     return EXIT_OK if result.is_member else EXIT_NEGATIVE
 

@@ -2,7 +2,9 @@
 
 Rationals travel as strings like "-3/7" so no reader can silently round
 them; floats are rejected everywhere.  Parsing is strict: unknown fields
-and malformed values fail with the offending location.
+and malformed values fail with the offending location.  A scalar is read
+straight into the dense integer form of `LaurentPolynomial`, and written
+from it, with no Fraction per coefficient.
 """
 
 from __future__ import annotations
@@ -51,14 +53,16 @@ def _require_keys(obj, allowed, required, loc):
             raise FormatError("missing field %r" % key, loc)
 
 
-def _parse_rational(value, loc):
+def _parse_ratio(value, loc):
+    """(numerator, positive denominator) of an exact rational string."""
     if not isinstance(value, str):
         raise FormatError("rationals must be exact strings like \"3/4\", got %s"
                           % type(value).__name__, loc)
     if not _RATIONAL.match(value):
         raise FormatError("not an exact rational: %r" % value, loc)
+    num, _, den = value.partition("/")
     try:
-        return Fraction(value)
+        return int(num), int(den or 1)
     except ValueError as exc:  # past the interpreter's integer digit limit
         raise FormatError(str(exc), loc) from exc
 
@@ -79,18 +83,24 @@ def _parse_int(value, loc, minimum=None):
 
 
 def _parse_terms(value, loc):
-    """{k: summed coefficient} of the [k, c] pairs, the term c*t^(k/q)."""
+    """(L, {k: summed numerator over L}) of the [k, c] pairs, terms c*t^(k/q).
+
+    L is the lcm of the coefficients' denominators.
+    """
     if not isinstance(value, list):
         raise FormatError("expected a list of [exponent, coefficient] pairs", loc)
-    terms = {}
+    pairs = []
     for idx, item in enumerate(value):
         at = "%s[%d]" % (loc, idx)
         if not isinstance(item, list) or len(item) != 2:
             raise FormatError("expected a [exponent, coefficient] pair", at)
-        k = _parse_int(item[0], at + ".exponent")
-        c = _parse_rational(item[1], at + ".coefficient")
-        terms[k] = terms.get(k, Fraction(0)) + c
-    return terms
+        pairs.append((_parse_int(item[0], at + ".exponent"),
+                      *_parse_ratio(item[1], at + ".coefficient")))
+    lcm = math.lcm(*(d for _, _, d in pairs))
+    sums = {}
+    for k, n, d in pairs:
+        sums[k] = sums.get(k, 0) + n * (lcm // d)
+    return lcm, sums
 
 
 def parse_scalar(obj, default_q, loc):
@@ -99,35 +109,54 @@ def parse_scalar(obj, default_q, loc):
     Its own grid is t^(1/g), g the lcm of the denominators of its nonzero
     exponents k/q, so g = q/G and an exponent is |k|/G steps out, for G
     the gcd of q and those k.  Checked before the dense lists are built
-    or the fraction reduced, since both are sized by those steps.
+    (on that grid) or the fraction reduced, since both are sized by those
+    steps.
     """
     _require_keys(obj, {"q", "num", "den"}, {"num"}, loc)
     q = _parse_int(obj["q"], loc + ".q", minimum=1) if "q" in obj else default_q
-    terms = [_parse_terms(obj[key], loc + "." + key)
-             for key in ("num", "den") if key in obj]
-    ks = [k for t in terms for k, c in t.items() if c]
+    parsed = [_parse_terms(obj[key], loc + "." + key)
+              for key in ("num", "den") if key in obj]
+    ks = [k for _, sums in parsed for k, c in sums.items() if c]
     common = math.gcd(q, *ks)
     steps = max(map(abs, ks), default=0) // common
     if steps > MAX_GRID_SPAN:
         raise FormatError("puts an exponent %d steps of its grid t^(1/%d) "
                           "from 0; the limit is %d"
                           % (steps, q // common, MAX_GRID_SPAN), loc)
-    num, *den = [LaurentPolynomial.from_terms({Fraction(k, q): c
-                                               for k, c in t.items()})
-                 for t in terms]
+    polys = []
+    for lcm, sums in parsed:
+        slots = {k // common: c for k, c in sums.items() if c}
+        low = min(slots, default=0)
+        raw = [0] * (max(slots, default=-1) - low + 1)
+        for k, c in slots.items():
+            raw[k - low] = c
+        polys.append(LaurentPolynomial._normalized(q // common, low, raw,
+                                                   Fraction(1, lcm)))
+    num, *den = polys
     den = den[0] if den else LaurentPolynomial.one()
     if den.is_zero:
         raise FormatError("denominator is zero", loc + ".den")
     return PuiseuxFraction(num, den)
 
 
+def _serialize_terms(p, q):
+    """[k, c] pairs of p on t^(1/q): content n/d times each coefficient."""
+    f = q // p.q
+    n, d = p.content.numerator, p.content.denominator
+    out = []
+    for i, c in enumerate(p.coeffs):
+        if c:
+            g = math.gcd(c, d)
+            out.append([(p.low + i) * f, str(n * c // g) if g == d
+                        else "%d/%d" % (n * c // g, d // g)])
+    return out
+
+
 def serialize_scalar(x):
     q = math.lcm(x.num.q, x.den.q)
-    out = {"q": q,
-           "num": [[int(e * q), _format_rational(c)] for e, c in x.num.terms()]}
+    out = {"q": q, "num": _serialize_terms(x.num, q)}
     if not x.den.is_one:
-        out["den"] = [[int(e * q), _format_rational(c)]
-                      for e, c in x.den.terms()]
+        out["den"] = _serialize_terms(x.den, q)
     return out
 
 
@@ -183,7 +212,7 @@ def parse_point(obj):
         if c == "inf":
             coords.append(INF)
         else:
-            coords.append(_parse_rational(c, loc))
+            coords.append(Fraction(*_parse_ratio(c, loc)))
     return tuple(coords)
 
 

@@ -464,7 +464,11 @@ def _primitive(p):
     return p
 
 
-_GCD_PRIME = (1 << 31) - 1
+# The largest prime below 2**30, so every residue is one 30-bit CPython
+# digit and a product f*y two.  Correctness does not rest on the choice:
+# degree 0 mod p proves coprimality whenever p spares a leading
+# coefficient, and every other case falls through to the primitive PRS.
+_GCD_PRIME = 1073741789
 
 
 def _modp_gcd_degree(a, b, p=_GCD_PRIME):

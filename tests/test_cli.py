@@ -1,6 +1,8 @@
 """Tests for the JSON formats and the command-line contract."""
 
 import json
+import math
+import random
 import time
 from fractions import Fraction as F
 
@@ -11,10 +13,12 @@ from troplift.formats import (
     FormatError,
     parse_instance,
     parse_point,
+    parse_scalar,
     parse_witness,
     render_series,
     serialize_instance,
     serialize_point,
+    serialize_scalar,
     serialize_witness,
 )
 from troplift.lift import MAX_GRID_SPAN, Instance
@@ -172,6 +176,99 @@ class TestPointAndWitnessFormats:
         assert parse_witness(blob) == x
 
 
+def reference_parse_scalar(obj, default_q, loc):
+    """The parser with one Fraction per coefficient that the dense one replaced."""
+    q = obj.get("q", default_q)
+    terms = []
+    for key in ("num", "den"):
+        if key in obj:
+            summed = {}
+            for k, c in obj[key]:
+                summed[k] = summed.get(k, F(0)) + F(c)
+            terms.append(summed)
+    ks = [k for t in terms for k, c in t.items() if c]
+    common = math.gcd(q, *ks)
+    steps = max(map(abs, ks), default=0) // common
+    if steps > MAX_GRID_SPAN:
+        raise FormatError("puts an exponent %d steps of its grid t^(1/%d) "
+                          "from 0; the limit is %d"
+                          % (steps, q // common, MAX_GRID_SPAN), loc)
+    num, *den = [LaurentPolynomial.from_terms({F(k, q): c
+                                               for k, c in t.items()})
+                 for t in terms]
+    den = den[0] if den else LaurentPolynomial.one()
+    if den.is_zero:
+        raise FormatError("denominator is zero", loc + ".den")
+    return PuiseuxFraction(num, den)
+
+
+def reference_serialize_scalar(x):
+    """The serializer that went through terms(), one Fraction per slot."""
+    def fmt(c):
+        return (str(c.numerator) if c.denominator == 1
+                else "%d/%d" % (c.numerator, c.denominator))
+
+    q = math.lcm(x.num.q, x.den.q)
+    out = {"q": q, "num": [[int(e * q), fmt(c)] for e, c in x.num.terms()]}
+    if not x.den.is_one:
+        out["den"] = [[int(e * q), fmt(c)] for e, c in x.den.terms()]
+    return out
+
+
+def json_scalar(rng):
+    """(entry, file grid): duplicate and cancelling exponents, mixed and
+    unreduced denominators, coarsening grids, entry grids, long numbers."""
+    step = rng.choice((1, 2, 3, 6))  # q = 6 with step 2 coarsens
+
+    def coefficient():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.choice(("0", "-0", "1", "-1", "2/4", "-3/6"))
+        if kind == 1:
+            return "%d/%d" % (rng.randint(-20, 20), rng.randint(1, 12))
+        digits = rng.randint(200, 400)
+        n = rng.randint(-10 ** digits, 10 ** digits)
+        if kind == 2:
+            return str(n)
+        return "%d/%d" % (n, rng.randint(1, 10 ** digits))
+
+    def terms():
+        out = []
+        for _ in range(rng.randint(0, 5)):
+            k, c = step * rng.randint(-3, 3), coefficient()
+            out.append([k, c])
+            if rng.randrange(4) == 0:  # a pair that cancels
+                out.append([k, c[1:] if c.startswith("-") else "-" + c])
+        rng.shuffle(out)
+        return out
+
+    entry = {"num": terms()}
+    if rng.randrange(2):
+        entry["den"] = terms()
+    if rng.randrange(2):
+        entry["q"] = rng.choice((1, 2, 3, 6))
+    return entry, rng.choice((1, 2, 6))
+
+
+class TestDenseCodec:
+    def test_matches_fraction_reference(self):
+        rng = random.Random(20261019)
+        for _ in range(300):
+            entry, file_q = json_scalar(rng)
+            try:
+                want = reference_parse_scalar(entry, file_q, "x")
+            except FormatError as exc:
+                with pytest.raises(FormatError) as got:
+                    parse_scalar(entry, file_q, "x")
+                assert str(got.value) == str(exc)
+                continue
+            x = parse_scalar(entry, file_q, "x")
+            assert x == want
+            for y in (x, x * x + ONE):
+                assert (json.dumps(serialize_scalar(y))
+                        == json.dumps(reference_serialize_scalar(y)))
+
+
 class TestRenderSeries:
     def test_exact_polynomial_has_no_tail(self):
         assert render_series(px({0: 1, 1: -1}), 3) == "1 - t"
@@ -200,7 +297,11 @@ class TestCliContract:
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] == "member"
         assert parse_witness({"x": out["witness"]}) == (px({0: 1, 1: -1}), ONE)
-        assert "timings" in out
+        timings = out["timings"]
+        assert {"parse_ms", "decide_ms", "serialize_ms"} <= set(timings)
+        assert timings["total_ms"] == pytest.approx(
+            timings["parse_ms"] + timings["decide_ms"]
+            + timings["serialize_ms"], abs=0.01)
 
     def test_check_not_member_reason(self, files, capsys):
         tmp, inst, point = files

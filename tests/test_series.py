@@ -233,6 +233,25 @@ class TestCanonicalForm:
             assert scaled == [c / want[-1] for c in want]
             assert laurent_divexact(a, got) * got == a
 
+    P = series._GCD_PRIME
+
+    @pytest.mark.parametrize("a, b, gcd, modp_degree", [
+        # a common root mod p, but coprime over the rationals
+        ({0: 1, 1: 1}, {0: 1 + P, 1: 1}, {0: 1}, 1),
+        # mod p the gcd has degree 2; over the rationals it is 1 + t
+        ({0: 2, 1: 3, 2: 1}, {0: 2 + P, 1: 3 + P, 2: 1}, {0: 1, 1: 1}, 2),
+        # p kills both leading coefficients, so p gives no degree bound
+        ({0: 1, 1: 1 + P, 2: P}, {0: 3, 1: 1 + 3 * P, 2: P}, {0: 1, 1: P},
+         None),
+    ], ids=["coprime", "common-factor", "leading-coefficients"])
+    def test_gcd_exact_at_unlucky_prime(self, a, b, gcd, modp_degree):
+        a = LaurentPolynomial.from_terms(a)
+        b = LaurentPolynomial.from_terms(b)
+        got = series._modp_gcd_degree(a.coeffs[::-1], b.coeffs[::-1])
+        assert got == modp_degree
+        assert laurent_gcd(a, b) == LaurentPolynomial.from_terms(gcd)
+        assert laurent_gcd(b, a) == LaurentPolynomial.from_terms(gcd)
+
     def test_every_route_gives_one_canonical_form(self):
         # b a constant, a monomial or an exact divisor of a: the shapes in
         # which the reduced denominator is 1
