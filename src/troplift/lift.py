@@ -14,12 +14,16 @@ yes.  The pipeline:
    zero); every subsystem keeps all columns, requiring valuation exactly
    0 on its own congruence class after column scaling and a strict
    valuation lower bound on the rest;
-3. per subsystem, run the forward pass of an exact fraction-free
-   elimination, pivoting by least valuation, so every reduced
-   free-column entry has valuation >= 0, and then a back pass over
-   truncated series that keeps only the orders <= 0 of each reduced
-   entry, which is exact because each pivot has the least valuation in
-   its row; each local coordinate must have valuation >= 0 too, so only
+3. per subsystem, run the forward pass of a fraction-free elimination,
+   pivoting by least valuation, so every reduced free-column entry has
+   valuation >= 0, and then a back pass over truncated series that keeps
+   only the orders <= 0 of each reduced entry, which is exact because
+   each pivot has the least valuation in its row; past the crossover
+   of `troplift.linalg.rref_solve` (5 elimination steps and two columns
+   more than rows) the forward pass itself keeps only a few low orders
+   of each entry, with more where a pivot or a read needs them, and it
+   is exact on smaller systems; each local coordinate must have
+   valuation >= 0 too, so only
    the constant term of a free coordinate reaches the orders <= 0 the
    verdict reads, and a free column gets one constant unknown when some
    reduced entry of it has valuation 0, and none otherwise;
@@ -30,10 +34,12 @@ yes.  The pipeline:
    of affine-linear forms in the unknowns, each read off order-0
    coefficients, and a geometric-progression sweep finds values avoiding
    all their zero sets unless one of them is the zero form;
-5. with the free coordinates y fixed, back-substitute the one column
-   b - A_free*y fraction-free to exact pivot coordinates, undo the
-   scalings, sum the slices, and re-verify the witness before returning
-   it.
+5. with the free coordinates y fixed, solve B x = b - A_free*y exactly
+   for the pivot coordinates, B the pivot block: one exact fraction-free
+   pass over [B | b - A_free*y] on the pivot sequence fixed (reusing the
+   forward rows when the forward pass was exact) and one
+   back-substituted column; then undo the scalings, sum the slices, and
+   re-verify the witness before returning it.
 
 Failures are certified with the stage that rejected the point.
 """

@@ -12,11 +12,11 @@ dividing exactly by the row's own pivot.  Every entry either pass divides
 out is a minor of the input, so every division is exact.  The kernel runs
 on grid triples: each row is cleared of its denominators, scaled to
 integer contents and put on the system's common grid t^(1/Q), where an
-entry is a content times a primitive integer list
-(`troplift.series.grid_mul`, `grid_sub`, `grid_divexact`; the last raises
-ArithmeticError on an inexact division).  Laurent polynomial objects are
-built once, from the eliminated lists.  After the full back pass every
-pivot row carries the same pivot D, so each reduced entry is N/D.
+entry is a content times an integer list (`troplift.series.grid_mul`,
+`grid_sub`, `grid_divexact`; the last raises ArithmeticError on an
+inexact division).  Laurent polynomial objects are built once, from the
+eliminated lists.  After the full back pass every pivot row carries the
+same pivot D, so each reduced entry is N/D.
 
 The two callers run different passes with different pivot keys.
 `kernel_basis`, which the circuit oracle runs, pivots by least
@@ -26,12 +26,20 @@ needs every N.  `rref_solve`, which `troplift.lift.decide` runs, pivots
 by least valuation: full pivoting by valuation (Caruso, Roe and Vaccon,
 "p-adic stability in linear algebra", ISSAC 2015), so every reduced
 free-column entry has valuation >= 0, which the lifting stages rely on.
-It runs the forward pass only, plus two cheap steps: a back pass over
-truncated series that keeps the orders <= 0 of every reduced entry
-(`_lowest_orders`), which is all the verdict reads, and, once the free
-coordinates are fixed, one exact fraction-free column for the pivot
-coordinates (`RrefResult.pivot_values`).  Its N and D, and the reduced
-entries N/D, are built by the full back pass on first read only.
+The verdict reads only the orders <= 0 of its reduced entries, which a
+back pass over truncated series gives (`_lowest_orders`).  On systems of
+TRUNCATE_MIN_STEPS elimination steps or more, with TRUNCATE_MIN_FREE
+columns more than rows, the forward pass beneath it is truncated too,
+over the integers: each entry keeps its terms below a tracked order of
+t, a few orders above its valuation, and each quotient is the low part
+of the exact one, one checked integer divmod per term (the truncation
+idea of Moenck and Carter, "Approximate algorithms to derive exact
+solutions to systems of linear equations", EUROSAM 1979).  Where the
+kept orders do not settle a pivot or a read, the pass reruns with more.
+Once the free coordinates are fixed, one exact fraction-free pass over
+[B | c], the pivot block and one column, gives the pivot coordinates
+(`RrefResult.pivot_values`).  N and D, and the reduced entries N/D, are
+built by the exact passes on first read only.
 """
 
 from __future__ import annotations
@@ -42,9 +50,11 @@ from fractions import Fraction
 from functools import cached_property
 
 from troplift.series import (
+    INF,
     LaurentPolynomial,
     PuiseuxFraction,
     from_grid,
+    grid_cut,
     grid_divexact,
     grid_mul,
     grid_sub,
@@ -94,34 +104,53 @@ class Matrix:
 
 @dataclass
 class Echelon:
-    """A system after the forward pass, on its common grid t^(1/q).
+    """A system's input rows and pivot sequence, on its common grid t^(1/q).
 
-    Nothing modifies it once built (a plain dataclass: the oracle builds
-    thousands, and a frozen one costs more to construct).
+    Nothing but `forward` modifies it once built (a plain dataclass: the
+    oracle builds thousands, and a frozen one costs more to construct).
 
-    `rows[i]` holds U[i], the forward-pass row of input row order[i], as
-    grid triples (None is zero); `pivots[i]` is U[i][pivot_cols[i]].
-    `scales[i]` divides row i's triples back to the input's scale: the
-    full back pass brings every pivot row to scale S, the product of the
-    pivot rows' own scales, and a row past the rank keeps S times its own.
+    `grid[k]` holds input row k as grid triples (None is zero), cleared of
+    denominators and scaled to integer contents; an exact solve, whose
+    forward rows serve every later read, keeps no grid (None).  Pivot row
+    i is input row order[i], pivoting in column pivot_cols[i].
+    `scales[i]` divides pivot row i's triples back to the input's scale:
+    the full back pass brings every pivot row to scale S, the product of
+    the pivot rows' own scales, and a row past the rank keeps S times its
+    own.
+
+    `rows` and `pivots` are the exact forward pass on that sequence: U[i],
+    the forward-pass row of input row order[i], and the pivots D_i =
+    U[i][pivot_cols[i]].  An exact solve sets them; after a truncated one
+    `forward` builds them on first use.
     """
 
-    rows: list
+    grid: list
+    order: list
     pivot_cols: list
-    pivots: list
     q: int
     scales: list
+    rows: list = None
+    pivots: list = None
+
+    def forward(self):
+        """The exact forward rows U and pivots D_0..D_(r-1)."""
+        if self.rows is None:
+            rows = [self.grid[k] for k in self.order]
+            self.pivots = _forward(rows, plan=self.pivot_cols)[1]
+            self.rows = rows
+        return self.rows, self.pivots
 
     def den(self):
         """The common pivot D (1 at rank 0)."""
-        if not self.pivots:
+        if not self.pivot_cols:
             return LaurentPolynomial.one()
-        return from_grid(self.pivots[-1], self.q, self.scales[0])
+        return from_grid(self.forward()[1][-1], self.q, self.scales[0])
 
     def numerators(self):
         """The full back pass, on a copy: the Laurent numerator rows N."""
-        rows, q = list(self.rows), self.q
-        _back(rows, self.pivot_cols, self.pivots)
+        rows, pivots = self.forward()
+        rows, q = list(rows), self.q
+        _back(rows, self.pivot_cols, pivots)
         return [[from_grid(x, q, s) for x in row]
                 for row, s in zip(rows, self.scales)]
 
@@ -139,12 +168,16 @@ class RrefResult:
     order-0 one.  A free column's K is 0, since its entries have
     valuation >= 0; a right-hand side's reaches its lowest valuation.
 
+    `head` and the pivot sequence come from one forward pass, truncated
+    on systems past the crossover (see `rref_solve`).
+    `pivot_values` and the fields below are exact whichever pass ran.
     `num` (the eliminated Laurent numerator rows N, right-hand side last),
     `den` (the common pivot D), and `matrix` and `rhs` (the reduced entries
-    as series scalars) are built from `echelon` through the full back pass
-    on first read.  Rows past `rank` are zero but for their right-hand
-    sides, which `num` keeps undivided; the solution set of (matrix, rhs)
-    equals that of the input system.
+    as series scalars) are built from `echelon` through the exact forward
+    pass on the same pivot sequence and the full back pass, on first
+    read.  Rows past `rank` are zero but for their right-hand sides, which
+    `num` keeps undivided; the solution set of (matrix, rhs) equals that
+    of the input system.
     """
 
     pivot_cols: tuple
@@ -157,23 +190,40 @@ class RrefResult:
     def pivot_values(self, values):
         """Pivot coordinates B^-1 (b - A_free*y), y = {free column: rational}.
 
-        One fraction-free column: with Y the lcm of y's denominators and
-        w_i = Y*U[i][rhs] - sum_f (Y*y_f)*U[i][f], the column
-        N_w = Y*(N_rhs - sum_f y_f*N_f) is back-substituted like any
-        column of N, and pivot coordinate i is N_w[i] / (Y*D).  Returns
-        one series scalar per pivot row.
+        One fraction-free column: with Y the lcm of y's denominators, take
+        c = Y*b - sum_f (Y*y_f)*A_f on each pivot row and let w be its
+        forward column, w_i = Y*U[i][rhs] - sum_f (Y*y_f)*U[i][f] (a minor
+        is linear in each column).  Back-substituting w gives N_w =
+        Y*(N_rhs - sum_f y_f*N_f), and pivot coordinate i is N_w[i] / (Y*D).
+        After an exact solve w comes from the forward rows U.  After a
+        truncated one, an exact fraction-free pass over [B | c], B the
+        pivot rows' input entries in the pivot columns, runs on the pivot
+        sequence fixed.  Returns one series scalar per pivot row.
         """
         ech = self.echelon
         ys = {f: Fraction(y) for f, y in values.items() if y}
         scale = math.lcm(*(y.denominator for y in ys.values()))
-        w = []
-        for row in ech.rows[:self.rank]:
+
+        def combined(row):
             acc = _grid_scale(row[-1], scale)
             for f, y in ys.items():
                 acc = grid_sub(acc, _grid_scale(row[f], int(y * scale)))
-            w.append(acc)
-        column = _back_column(ech.rows, ech.pivot_cols, ech.pivots, w)
-        d, s = ech.den(), ech.scales[0] * scale
+            return acc
+
+        if ech.rows is not None:
+            rows, pivots, cols = ech.rows, ech.pivots, self.pivot_cols
+            w = [combined(row) for row in rows[:self.rank]]
+        else:
+            rows = [[ech.grid[k][c] for c in self.pivot_cols]
+                    + [combined(ech.grid[k])] for k in ech.order[:self.rank]]
+            cols = range(self.rank)
+            pivots = _forward(rows, plan=cols)[1]
+            w = [row[-1] for row in rows]
+        if not pivots:
+            return ()
+        column = _back_column(rows, cols, pivots, w)
+        d = from_grid(pivots[-1], ech.q, ech.scales[0])
+        s = ech.scales[0] * scale
         return tuple(PuiseuxFraction(from_grid(x, ech.q, s), d)
                      for x in column)
 
@@ -220,7 +270,7 @@ class LinearForm:
         return acc
 
 
-def _forward(rows, ncols, key):
+def _forward(rows, ncols=None, key=None, prec=None, plan=None):
     """Fraction-free forward elimination of rows of grid triples, in place.
 
     Each row holds `ncols` coefficients, optionally followed by its
@@ -231,46 +281,133 @@ def _forward(rows, ncols, key):
     k = 0.  Each updated entry is a minor of the input (Sylvester's
     identity), so the division is exact.  Every candidate at step k is
     D_(k-1) times its Schur-complement entry, so a key on valuations ranks
-    those entries.
+    those entries.  With `plan`, the rows are already in pivot order and
+    step k pivots at row k, column plan[k].
 
-    Returns the pivot columns, the pivots D_0..D_(r-1) and the row order:
-    row i now holds U[i], the forward-pass row of input row order[i].
-    Rows past the rank are zero but for their right-hand sides.
+    With `prec`, the pass is truncated: every entry is known only below
+    some order of t, its precision (INF for an exact zero), which
+    `_truncated_step` tracks.  An input keeps its terms below
+    t^(v + prec), v its valuation, so no entry is known to more than
+    `prec` orders above its valuation.  The key then ranks truncated
+    lists by valuation, which is known for every entry with a nonzero
+    term below its precision.  An entry with none may be zero or not;
+    when one of those in the search has a precision not above the least
+    valuation found, that valuation might not be the least, and the pass
+    raises `_ShortPrecision`.
+
+    Returns the pivot columns, the pivots D_0..D_(r-1), the row order
+    and the entries' precisions (None when exact): row i now holds U[i],
+    the forward-pass row of input row order[i].  Rows past the rank are
+    zero but for their right-hand sides.
     """
     m = len(rows)
     order = list(range(m))
     pivot_cols = []
     pivots = []
-    for rank in range(min(m, ncols)):
-        best = None
-        for c in range(ncols):
-            if c in pivot_cols:
-                continue
-            for r in range(rank, m):
-                x = rows[r][c]
-                if x:
-                    k = (key(x), c, r)
-                    if best is None or k < best:
-                        best = k
-        if best is None:
-            break
-        _, c, r = best
+    precs = None
+    if prec is not None:
+        precs = [[INF if x is None else x[0] + prec for x in row]
+                 for row in rows]
+        rows[:] = [[grid_cut(x, p) for x, p in zip(row, ps)]
+                   for row, ps in zip(rows, precs)]
+    steps = len(plan) if plan is not None else min(m, ncols)
+    for rank in range(steps):
+        if plan is not None:
+            c, r = plan[rank], rank
+        else:
+            best = None
+            floor = INF  # least precision of an entry not known nonzero
+            for c in range(ncols):
+                if c in pivot_cols:
+                    continue
+                for r in range(rank, m):
+                    x = rows[r][c]
+                    if x:
+                        k = (key(x), c, r)
+                        if best is None or k < best:
+                            best = k
+                    elif precs is not None and precs[r][c] < floor:
+                        floor = precs[r][c]
+            if floor != INF:
+                low = INF if best is None else rows[best[2]][best[1]][0]
+                if low >= floor:
+                    raise _ShortPrecision(0 if best is None
+                                          else low - floor + 1)
+            if best is None:
+                break
+            _, c, r = best
         rows[rank], rows[r] = rows[r], rows[rank]
         order[rank], order[r] = order[r], order[rank]
         prow = rows[rank]
         piv = prow[c]
         prev = pivots[-1] if pivots else None
-        for i in range(rank + 1, m):
-            row = rows[i]
-            f = row[c]
-            new = ([grid_sub(grid_mul(piv, a), grid_mul(f, b))
-                    for a, b in zip(row, prow)]
-                   if f else [grid_mul(piv, a) for a in row])
-            rows[i] = new if prev is None else [grid_divexact(x, prev) if x
-                                                else x for x in new]
+        if precs is not None:
+            precs[rank], precs[r] = precs[r], precs[rank]
+            pprecs = precs[rank]
+            dprec = precs[rank - 1][pivot_cols[-1]] if prev else INF
+            for i in range(rank + 1, m):
+                rows[i], precs[i] = _truncated_step(
+                    rows[i], precs[i], prow, pprecs, c, prev, dprec)
+        else:
+            for i in range(rank + 1, m):
+                row = rows[i]
+                f = row[c]
+                new = ([grid_sub(grid_mul(piv, a), grid_mul(f, b))
+                        for a, b in zip(row, prow)]
+                       if f else [grid_mul(piv, a) for a in row])
+                rows[i] = new if prev is None else [
+                    grid_divexact(x, prev) if x else x for x in new]
         pivots.append(piv)
         pivot_cols.append(c)
-    return pivot_cols, pivots, order
+    return pivot_cols, pivots, order, precs
+
+
+class _ShortPrecision(Exception):
+    """The truncated pass cannot settle a read at its precision.
+
+    `by` is how many more orders would settle it, or 0 when unknown.
+    """
+
+    def __init__(self, by):
+        super().__init__(by)
+        self.by = by
+
+
+def _val(x, p):
+    """An entry's valuation, or its precision when no term of it is known."""
+    return p if x is None else x[0]
+
+
+def _truncated_step(row, precs, prow, pprecs, c, prev, dprec):
+    """One forward update (D_k*a - f*b) / D_(k-1) of a truncated row.
+
+    Each entry comes with its precision p: known below t^p, or exactly
+    zero when p is INF.  With v(x) from `_val`, x*y is known below
+    min(px + v(y), py + v(x)), x - y below min(px, py), and the exact
+    quotient x/d below min(px - v(d), pd - 2*v(d) + v(x)): its low terms
+    come term by term from those of x and d.  So products and quotients
+    of entries known to k orders above their valuations are known to k
+    orders above theirs, and a difference loses the orders that cancel,
+    as in floating point.  Returns the new row and its precisions.
+    """
+    piv, f, pp, pf = prow[c], row[c], pprecs[c], precs[c]
+    vp, vf = piv[0], _val(f, pf)
+    vd = prev[0] if prev else 0
+    out, outp = [], []
+    for a, pa, b, pb in zip(row, precs, prow, pprecs):
+        p = min(pp + _val(a, pa), pa + vp, pf + _val(b, pb), pb + vf)
+        x = None  # both products exactly zero when p is INF
+        if p != INF:
+            x = grid_sub(grid_mul(piv, a, p), grid_mul(f, b, p), p)
+        if prev is not None:
+            if x is None:
+                p -= vd
+            else:
+                p = min(p - vd, dprec - 2 * vd + x[0])
+                x = grid_divexact(x, prev, p)
+        out.append(x)
+        outp.append(p)
+    return out, outp
 
 
 def _back_column(rows, pivot_cols, pivots, w):
@@ -355,7 +492,7 @@ def _orders(u, low, inv, lo, hi):
     return out
 
 
-def _lowest_orders(rows, pivot_cols, pivots):
+def _lowest_orders(rows, pivot_cols, pivots, precs=None):
     """Orders <= 0 of every reduced entry of the pivot rows: `RrefResult.head`.
 
     Back substitution over truncated series with rational coefficients:
@@ -367,6 +504,11 @@ def _lowest_orders(rows, pivot_cols, pivots):
     U[i][c_i] - val U[i][j])), and their orders -K_j..0 depend only on
     orders -K_j..0 of the x_k and 0..K_j of the a_(i,c_k).  Truncating
     there is exact.  A free column's K is 0 by the same pivot rule.
+
+    With the entries' precisions `precs` (a truncated forward pass), every
+    order read must lie below its entry's precision, or it raises
+    `_ShortPrecision`: orders up to val D_i + max_j K_j of D_i and of row
+    i's later pivot columns, and up to val D_i of its other columns.
     """
     rank = len(pivot_cols)
     if not rank:
@@ -377,6 +519,12 @@ def _lowest_orders(rows, pivot_cols, pivots):
                             for row, p in zip(rows, pivots) if row[j]])
               for j in others}
     top = max(depths.values(), default=0)
+    if precs is not None:
+        short = max(max(p[0] + top + 1 - min(ps[c] for c in pivot_cols[i:]),
+                        p[0] + 1 - min(ps[j] for j in others))
+                    for i, (ps, p) in enumerate(zip(precs, pivots)))
+        if short > 0:
+            raise _ShortPrecision(short)
     one, zero = (Fraction(1),), (Fraction(0),)
     head = [None] * rank
     for i in range(rank - 1, -1, -1):
@@ -426,29 +574,40 @@ def _clear_denominators(entries):
             for x in entries]
 
 
-def _echelon(rows, ncols, key):
-    """The forward pass on rows of series scalars, cleared of denominators.
+def _on_grid(rows):
+    """Rows of series scalars as integer triples on their common grid.
 
-    Each cleared row i is scaled by L_i, the lcm of its contents'
-    denominators, and runs through `_forward` with pivot key `key` as
-    integer triples on the system's common grid Q (see
-    `troplift.series.to_grid`).  Scaling the input rows scales every minor
-    by the scales of the rows it spans, so after the full back pass the
-    pivot rows are scaled by S, the product of the pivot rows' scales, and
-    a row past the rank by S times its own; `Echelon.scales` records
-    those factors.
+    Each row is cleared of denominators and scaled by L_i, the lcm of its
+    contents' denominators, then put on the system's common grid Q (see
+    `troplift.series.to_grid`).  Returns (triple rows, Q, [L_i]).
     """
     polys = [_clear_denominators(row) for row in rows]
     q = math.lcm(*(p.q for row in polys for p in row))
     scales = [math.lcm(*(p.content.denominator for p in row))
               for row in polys]
     grid = [[to_grid(p, q, s) for p in row] for row, s in zip(polys, scales)]
-    pivot_cols, pivots, order = _forward(grid, ncols, key)
-    rank = len(pivot_cols)
+    return grid, q, scales
+
+
+def _row_scales(scales, order, rank):
+    """`Echelon.scales` from the input rows' scales L_i.
+
+    Scaling the input rows scales every minor by the scales of the rows it
+    spans, so after the full back pass the pivot rows are scaled by S, the
+    product of the pivot rows' scales, and a row past the rank by S times
+    its own.
+    """
     s = math.prod(scales[k] for k in order[:rank])
-    return Echelon(rows=grid, pivot_cols=pivot_cols, pivots=pivots, q=q,
-                   scales=[s if i < rank else s * scales[k]
-                           for i, k in enumerate(order)])
+    return [s if i < rank else s * scales[k] for i, k in enumerate(order)]
+
+
+def _echelon(rows, ncols, key):
+    """The exact forward pass, pivot key `key`, on rows of series scalars."""
+    grid, q, scales = _on_grid(rows)
+    pivot_cols, pivots, order, _ = _forward(grid, ncols, key)
+    return Echelon(grid=None, order=order, pivot_cols=pivot_cols, q=q,
+                   scales=_row_scales(scales, order, len(pivot_cols)),
+                   rows=grid, pivots=pivots)
 
 
 def _eliminate(rows, ncols, key):
@@ -459,29 +618,101 @@ def _eliminate(rows, ncols, key):
     return polys, ech.pivot_cols, d
 
 
+# `rref_solve` runs its forward pass truncated on systems with at least
+# TRUNCATE_MIN_STEPS elimination steps, min(rows, columns), and at least
+# TRUNCATE_MIN_FREE more columns than rows.  The witness then needs the
+# exact pass only over [B | c], so the truncated route pays off where that
+# skips enough columns of entries long enough.  On seeded dense planted
+# systems (3-term entries; 2-core x86-64 VM, CPython 3.11), `decide` under
+# the truncated route took, as a share of the exact route's time: at
+# m = 4, 0.99-1.03 for n = 6..7 and 0.86-0.91 for n = 8..10; at m = 5,
+# 0.89-0.93 for n >= 7; at m = 6..8 and n = 2m, 0.83-0.92.  Square
+# systems took 1.25-1.29 at m = 6 and 8, one column more 1.01-1.05, two
+# 0.90-1.04.  The criterion-1 systems (m <= 4, n <= 7) stay below the
+# crossover.
+TRUNCATE_MIN_STEPS = 5
+TRUNCATE_MIN_FREE = 2
+
+# The truncated pass first keeps TRUNCATE_FIRST_ORDERS orders of t above
+# each entry's valuation, and raises that by at least as many again,
+# then by twice the last raise, until it settles every read.  The
+# perfbench planted systems settle at 2-3 orders and the criterion-7
+# instances (n = 12..40) at 2-8; a rerun costs one more truncated pass.
+TRUNCATE_FIRST_ORDERS = 4
+
+
+def _consistent(tail, precs):
+    """Whether the right-hand sides `tail` of the rows past the rank vanish.
+
+    With precisions `precs`, raises `_ShortPrecision` when none is known
+    nonzero and one is not known exactly.
+    """
+    if any(tail):
+        return False
+    if precs and any(p != INF for p in precs):
+        raise _ShortPrecision(0)
+    return True
+
+
 def rref_solve(matrix, rhs):
     """Reduce the augmented system (matrix | rhs) of series scalars.
 
     Pivots by least valuation, so every reduced entry of a free column has
-    valuation >= 0.  Runs the forward pass and the truncated back pass
-    for `head`; the full back pass waits until `num` or a reduced entry
-    is read.  Inconsistency is reported through the `consistent` flag,
-    never raised.
+    valuation >= 0.  On systems of TRUNCATE_MIN_STEPS elimination steps or
+    more, with TRUNCATE_MIN_FREE columns more than rows, the forward pass
+    keeps TRUNCATE_FIRST_ORDERS orders of t above each entry's valuation
+    (see `_forward`), raised until it settles the pivots, the consistency
+    and every order `head` reads; once that would keep more orders than
+    any minor spans, the exact pass runs instead, so the loop ends.  A
+    truncated quotient is the low part of the
+    exact one, so `head` is the exact pass's on the same pivot sequence.
+    Below the crossover the pass is exact.  The exact passes the witness
+    and the reduced entries need wait until `pivot_values`, `num` or a
+    reduced entry is read.  Inconsistency is reported through the
+    `consistent` flag, never raised.
     """
     rhs = list(rhs)
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     if len(rhs) != m:
         raise ValueError("rhs length does not match row count")
-    ech = _echelon([[*row, b] for row, b in zip(matrix, rhs)], n,
-                   _least_valuation_key)
-    rank = len(ech.pivot_cols)
+    grid, q, scales = _on_grid([[*row, b] for row, b in zip(matrix, rhs)])
+    prec = step = TRUNCATE_FIRST_ORDERS
+    # no minor, nor a product of two, spans this many orders: a truncated
+    # pass keeping them would do the exact pass's work
+    ends = [[e for x in row if x for e in (x[0], x[0] + len(x[2]) - 1)]
+            for row in grid]
+    span = 2 * sum(max([0, *e]) - min([0, *e]) for e in ends)
+    if (min(m, n) < TRUNCATE_MIN_STEPS or n - m < TRUNCATE_MIN_FREE
+            or prec > span):
+        prec = None
+    while True:
+        rows = grid if prec is None else list(grid)
+        try:
+            pivot_cols, pivots, order, precs = _forward(
+                rows, n, _least_valuation_key, prec)
+            rank = len(pivot_cols)
+            consistent = _consistent([row[n] for row in rows[rank:]],
+                                     precs and [p[n] for p in precs[rank:]])
+            head = _lowest_orders(rows, pivot_cols, pivots, precs)
+            break
+        except _ShortPrecision as short:
+            prec += max(short.by, step)
+            step *= 2
+            if prec > span:
+                prec = None
+    exact = prec is None
+    ech = Echelon(grid=None if exact else grid, order=order,
+                  pivot_cols=pivot_cols, q=q,
+                  scales=_row_scales(scales, order, rank),
+                  rows=rows if exact else None,
+                  pivots=pivots if exact else None)
     return RrefResult(
-        pivot_cols=tuple(ech.pivot_cols),
-        free_cols=tuple(c for c in range(n) if c not in ech.pivot_cols),
+        pivot_cols=tuple(pivot_cols),
+        free_cols=tuple(c for c in range(n) if c not in pivot_cols),
         rank=rank,
-        consistent=not any(row[n] for row in ech.rows[rank:]),
-        head=_lowest_orders(ech.rows, ech.pivot_cols, ech.pivots),
+        consistent=consistent,
+        head=head,
         echelon=ech,
     )
 

@@ -573,8 +573,21 @@ def _divexact_ascending(p, d):
             q = _kronecker_divexact(p, d, nb, n)
             if q is not None:
                 return q
-    q = [0] * n
     r = list(p)
+    q = _quotient_digits(r, d, n)
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def _quotient_digits(r, d, n):
+    """The first n coefficients of the power series r/d, term by term.
+
+    Each is one integer divmod by d[0] whose remainder must be zero, or
+    ArithmeticError is raised.  r, of length at least n + len(d) - 1, is
+    left holding the remainder.
+    """
+    q = [0] * n
     d0 = d[0]
     for i in range(n):
         c = r[i]
@@ -585,8 +598,6 @@ def _divexact_ascending(p, d):
             q[i] = qi
             for j, dj in enumerate(d):
                 r[i + j] -= qi * dj
-    if any(r):
-        raise ArithmeticError("inexact polynomial division")
     return q
 
 
@@ -656,6 +667,11 @@ def laurent_divexact(a, g):
 # grid exponent low, and zero is None.  Products and exact quotients of
 # primitive lists are primitive (Gauss's lemma), so only the difference
 # takes a content gcd.
+#
+# Given a precision `prec`, each kernel returns only the terms of its
+# result below t^prec, which depend only on the terms of its operands
+# below some order, so the truncated elimination pass runs on cut
+# triples.  A cut list need not be primitive.
 
 def to_grid(p, q, scale):
     """p * scale as a triple on t^(1/q), a refinement of p's grid.
@@ -677,23 +693,57 @@ def from_grid(x, q, scale):
     return LaurentPolynomial._from_primitive(q, low, coeffs, Fraction(c, scale))
 
 
-def grid_mul(x, y):
-    """Product of two triples."""
+def _cut(low, c, coeffs, prec):
+    """The triple of c * coeffs at t^low, less its terms at exponents >= prec.
+
+    Trims zero slots at both ends; None when nothing is left.  The list
+    that is left need not be primitive.
+    """
+    if prec is not None:
+        coeffs = coeffs[:max(0, prec - low)]
+    low, coeffs = _trimmed(low, coeffs)
+    return (low, c, coeffs) if coeffs else None
+
+
+def grid_cut(x, prec):
+    """The triple x less its terms at exponents >= prec."""
+    return None if x is None else _cut(*x, prec)
+
+
+def grid_mul(x, y, prec=None):
+    """Product of two triples; with `prec`, only its terms below t^prec.
+
+    Those terms involve only the factors' first prec - low slots, where
+    low is the product's lowest exponent, so the factors are cut first.
+    """
     if x is None or y is None:
         return None
-    return x[0] + y[0], x[1] * y[1], _mul_lists(x[2], y[2])
+    low = x[0] + y[0]
+    if prec is None:
+        return low, x[1] * y[1], _mul_lists(x[2], y[2])
+    n = prec - low
+    if n <= 0:
+        return None
+    return _cut(low, x[1] * y[1], _mul_lists(x[2][:n], y[2][:n]), prec)
 
 
-def grid_sub(x, y):
-    """Difference of two triples: one aligned combine and one content gcd."""
+def grid_sub(x, y, prec=None):
+    """Difference of two triples: one aligned combine and one content gcd.
+
+    With `prec`, only its terms below t^prec.
+    """
     if y is None:
-        return x
+        return x if prec is None else grid_cut(x, prec)
     ly, cy, b = y
     if x is None:
-        return ly, cy, [-v for v in b]
+        neg = ly, cy, [-v for v in b]
+        return neg if prec is None else grid_cut(neg, prec)
     lx, cx, a = x
     g = math.gcd(cx, cy)
-    low, out = _trimmed(*_combine(lx, a, cx // g, ly, b, -(cy // g)))
+    low, out = _combine(lx, a, cx // g, ly, b, -(cy // g))
+    if prec is not None:
+        out = out[:max(0, prec - low)]
+    low, out = _trimmed(low, out)
     if not out:
         return None
     h = _int_content(out)
@@ -702,12 +752,32 @@ def grid_sub(x, y):
     return low, g * h, out
 
 
-def grid_divexact(x, y):
-    """Exact quotient of two triples; raises ArithmeticError if inexact."""
-    c, r = divmod(x[1], y[1])
-    if r:
-        raise ArithmeticError("inexact content division")
-    return x[0] - y[0], c, _divexact_ascending(x[2], y[2])
+def grid_divexact(x, y, prec=None):
+    """Exact quotient of two triples; raises ArithmeticError if inexact.
+
+    With `prec`, only the quotient's terms below t^prec, from the first
+    prec - low slots of x and y (low the quotient's lowest exponent): the
+    power series x/y, one checked integer divmod per term.  Cut operands
+    need not be primitive, so their contents are multiplied back in (less
+    their gcd) and the quotient carries content 1.
+    """
+    low = x[0] - y[0]
+    if prec is None:
+        c, r = divmod(x[1], y[1])
+        if r:
+            raise ArithmeticError("inexact content division")
+        return low, c, _divexact_ascending(x[2], y[2])
+    n = prec - low
+    if n <= 0:
+        return None
+    g = math.gcd(x[1], y[1])
+    a, b = x[1] // g, y[1] // g
+    d = y[2][:n]
+    if b != 1:
+        d = [b * v for v in d]
+    r = [a * v for v in x[2][:n]] if a != 1 else x[2][:n]
+    r += [0] * (n + len(d) - 1 - len(r))
+    return _cut(low, 1, _quotient_digits(r, d, n), prec)
 
 
 def shared_expansions(nums, den, upto):

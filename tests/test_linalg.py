@@ -1,10 +1,15 @@
 """Tests for exact elimination over both scalar fields."""
 
+import dataclasses
 import math
 import random
 from collections import Counter
 from fractions import Fraction as F
 
+import pytest
+
+from troplift import linalg
+from troplift.gen import GenConfig, gen_member
 from troplift.lift import (
     STAGE_INFEASIBLE,
     STAGE_SYSTEM3,
@@ -15,9 +20,14 @@ from troplift.lift import (
     strip_infinite,
 )
 from troplift.linalg import (
+    TRUNCATE_MIN_FREE,
+    TRUNCATE_MIN_STEPS,
     _clear_denominators,
     _eliminate,
+    _forward,
     _least_valuation_key,
+    _lowest_orders,
+    _truncated_step,
     kernel_basis,
     rref_solve,
 )
@@ -25,6 +35,10 @@ from troplift.series import (
     INF,
     LaurentPolynomial,
     PuiseuxFraction,
+    grid_cut,
+    grid_divexact,
+    grid_mul,
+    grid_sub,
     laurent_divexact,
     shared_expansions,
 )
@@ -565,3 +579,221 @@ class TestKernelBasis:
     def test_empty_matrix(self):
         basis = kernel_basis([], ncols=2)
         assert basis == [(1, 0), (0, 1)]
+
+
+def grid_terms(x, prec=INF):
+    """{exponent: coefficient} of a grid triple's value below t^prec."""
+    if x is None:
+        return {}
+    low, c, coeffs = x
+    return {low + i: c * v for i, v in enumerate(coeffs)
+            if v and low + i < prec}
+
+
+def exact_route(red, n):
+    """The exact forward pass on red's pivot sequence, checked against red.
+
+    The truncated route must give what the exact one gives on the same
+    pivots: the rank (every pivot nonzero, rows past it zero in every
+    column), consistency and `head`.  Each pivot must also have the least
+    valuation in its own row, which `head` relies on.  Returns red with
+    the exact rows in its echelon, so `pivot_values` reads them.
+    """
+    ech = red.echelon
+    if ech.grid is None:  # an exact solve: its own forward rows
+        rows, pivots = ech.rows, ech.pivots
+    else:
+        rows = [ech.grid[k] for k in ech.order]
+        pivots = _forward(rows, plan=red.pivot_cols)[1]
+    assert all(pivots) and len(pivots) == red.rank
+    for row in rows[red.rank:]:
+        assert not any(row[:n])
+    assert red.consistent == (not any(row[n] for row in rows[red.rank:]))
+    for i, (row, p) in enumerate(zip(rows, pivots)):
+        assert all(row[j][0] >= p[0] for j in range(n)
+                   if row[j] and j not in red.pivot_cols[:i])
+    assert red.head == _lowest_orders(rows, list(red.pivot_cols), pivots)
+    return dataclasses.replace(
+        red, echelon=dataclasses.replace(ech, rows=rows, pivots=pivots))
+
+
+def check_against_exact_route(red, n, rng):
+    """`exact_route`, and equal pivot values at integer and rational y."""
+    ys_list = [{f: F(rng.randint(-5, 5), den) for f in red.free_cols}
+               for den in (1, rng.randint(2, 6))]
+    # after a truncated pass, from the [B | c] pass
+    values = [red.pivot_values(ys) for ys in ys_list]
+    exact = exact_route(red, n)
+    assert [exact.pivot_values(ys) for ys in ys_list] == values
+
+
+def truncates(m, n):
+    """Whether `rref_solve` runs its forward pass truncated on m x n."""
+    return min(m, n) >= TRUNCATE_MIN_STEPS and n - m >= TRUNCATE_MIN_FREE
+
+
+def dependent_system(rng, consistent):
+    """7 x 9: six generic rows, then row 0 + t*row 1, so the rank is 6.
+
+    Its right-hand side is b_0 + t*b_1, plus 1 when inconsistent.
+    """
+    rows = [[px({e: rng.randint(-9, 9) or 1 for e in rng.sample(range(-4, 5),
+                                                               3)})
+             for _ in range(9)] for _ in range(6)]
+    rhs = [px({rng.randint(-3, 3): rng.randint(1, 9)}) for _ in range(6)]
+    rows.append([a + T * b for a, b in zip(rows[0], rows[1])])
+    rhs.append(rhs[0] + T * rhs[1] + (ZERO if consistent else ONE))
+    return rows, rhs
+
+
+class TestTruncatedPass:
+    """Past the crossover, `rref_solve` picks its pivots and builds
+    `head` on truncated entries; everything it reports must equal the
+    exact pass's on the same pivot sequence."""
+
+    @pytest.fixture
+    def attempts(self, monkeypatch):
+        """The precision of each `_forward` call `rref_solve` makes."""
+        seen = []
+
+        def spy(rows, ncols=None, key=None, prec=None, plan=None):
+            seen.append(prec)
+            return _forward(rows, ncols, key, prec, plan)
+
+        monkeypatch.setattr(linalg, "_forward", spy)
+        return seen
+
+    def test_planted_systems_match_the_exact_route(self):
+        rng = random.Random(131)
+        seen = Counter()
+        for n in range(12, 21):
+            for grid in (1, 2, 3):
+                cfg = GenConfig(seed=1300 + 10 * n + grid, m=n // 2, n=n,
+                                terms_per_entry=3, exp_lo=-5, exp_hi=5,
+                                grid_den=grid, coeff_bound=9)
+                inst, point, _ = gen_member(cfg)
+                stripped = strip_infinite(inst, point)
+                part = normalize_and_partition(stripped.instance,
+                                               stripped.point)
+                # the instance on its own grid, and decide's slices of it
+                for sub in (inst, *part.subsystems):
+                    red = rref_solve(sub.matrix, sub.rhs)
+                    m, width = len(sub.matrix), len(sub.matrix[0])
+                    check_against_exact_route(red, width, rng)
+                    assert (red.echelon.rows is None) == truncates(m, width)
+                    seen["truncated"] += red.echelon.rows is None
+                    seen["exact"] += red.echelon.rows is not None
+                    seen["grid>1"] += red.echelon.q > 1
+        # square slices, left once their infinite columns are gone, and
+        # slices with one free column take the exact route
+        assert seen["truncated"] == 51 and seen["exact"] == 3, seen
+        assert seen["grid>1"] == 18, seen
+
+    def test_low_right_hand_sides_raise_the_precision(self, attempts):
+        # right-hand sides 20 orders below the entries: `head` reads their
+        # orders -20..0, past what the first truncated pass keeps
+        rng = random.Random(137)
+        rows = [[px({0: rng.randint(1, 9), 1: rng.randint(-9, 9),
+                     2: rng.randint(-9, 9)}) for _ in range(8)]
+                for _ in range(6)]
+        rhs = [px({-20: rng.randint(1, 9), -3: 1}) for _ in range(6)]
+        assert truncates(6, 8)
+        red = rref_solve(rows, rhs)
+        assert len(attempts) >= 2 and None not in attempts
+        assert attempts == sorted(attempts)
+        assert red.echelon.rows is None
+        assert min(len(h[-1]) for h in red.head) == 21
+        check_against_exact_route(red, 8, rng)
+
+    def test_pivot_search_waits_for_a_hidden_valuation(self, attempts):
+        # the last row is row 0 plus t^12 times a generic row: once row 0
+        # has eliminated it, its entries have valuation about 12 more than
+        # the others, past what the first pass keeps, so they are "zero so
+        # far" and the rank is settled only with more orders
+        rng = random.Random(151)
+        rows, rhs = dependent_system(rng, consistent=True)
+        t12 = px({12: 1})
+        rows[-1] = [a + t12 * px({rng.randint(-4, 4): rng.randint(1, 9)})
+                    for a in rows[0]]
+        red = rref_solve(rows, rhs)
+        assert len(attempts) >= 2 and None not in attempts
+        assert red.rank == 7 and red.echelon.rows is None
+        check_against_exact_route(red, 9, rng)
+
+    def test_singular_schur_complement_ends_exact(self, attempts):
+        # the dependent row's Schur complement is exactly zero, which no
+        # truncated entry can show, so the precision rises until the
+        # pass is exact
+        rng = random.Random(139)
+        rows, rhs = dependent_system(rng, consistent=True)
+        assert truncates(len(rows), len(rows[0]))
+        red = rref_solve(rows, rhs)
+        assert attempts[0] is not None and attempts[-1] is None
+        assert red.rank == 6 < min(len(rows), len(rows[0]))
+        assert red.consistent
+        check_against_exact_route(red, 9, rng)
+
+    def test_rows_past_the_rank_with_a_right_hand_side(self, attempts):
+        rng = random.Random(139)
+        rows, rhs = dependent_system(rng, consistent=False)
+        red = rref_solve(rows, rhs)
+        assert attempts[0] is not None
+        assert red.rank == 6 and not red.consistent
+        check_against_exact_route(red, 9, rng)
+        inst = Instance.from_rows(rows, rhs)
+        assert decide(inst, (0,) * 9) == NotMember(STAGE_INFEASIBLE)
+
+    def test_step_keeps_only_terms_it_knows(self):
+        # One truncated step on random operands cut at random orders, some
+        # to nothing: every term an output claims to know, below its
+        # precision, is the exact result's.  The pivot and f are multiples
+        # of the previous pivot, so (D*a - f*b) / prev is exact.
+        rng = random.Random(149)
+
+        def triple():
+            coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
+            coeffs[0] = coeffs[0] or 1
+            coeffs[-1] = coeffs[-1] or -1
+            g = math.gcd(*coeffs)  # exact triples hold primitive lists
+            return (rng.randint(-5, 5), rng.choice((1, 1, 2, 3)),
+                    [v // g for v in coeffs])
+
+        def cut(x, known=False):
+            """x and its precision, cut at a random order (kept nonzero)."""
+            if x is None:
+                return None, INF
+            p = x[0] + rng.randint(1 if known else -2, 9)
+            return grid_cut(x, p), p
+
+        seen = Counter()
+        for _ in range(300):
+            prev = triple()
+            piv = grid_mul(prev, triple())
+            f = grid_mul(prev, triple()) if rng.random() < 0.8 else None
+            a = [f] + [triple() if rng.random() < 0.8 else None
+                       for _ in range(4)]
+            b = [piv] + [triple() if rng.random() < 0.8 else None
+                         for _ in range(4)]
+            want = [grid_sub(grid_mul(piv, x), grid_mul(f, y))
+                    for x, y in zip(a, b)]
+            want = [grid_divexact(x, prev) if x else None for x in want]
+            row, precs = map(list, zip(*map(cut, a)))
+            prow, pprecs = map(list, zip(*map(cut, b)))
+            prow[0], pprecs[0] = cut(piv, known=True)
+            dprev, dprec = cut(prev, known=True)
+            out, outp = _truncated_step(row, precs, prow, pprecs, 0, dprev,
+                                        dprec)
+            for x, p, w in zip(out, outp, want):
+                assert grid_terms(x) == grid_terms(w, p)
+                seen["known"] += x is not None
+                seen["unknown_zero"] += x is None and p != INF
+                seen["exact_zero"] += p == INF
+        assert all(seen.values()), seen
+
+    def test_inexact_truncated_quotient_raises(self):
+        # (1*2 - 1*1) / (3 + t): a truncated step divides term by term,
+        # and 1/3 is no integer
+        one = (0, 1, [1])
+        with pytest.raises(ArithmeticError):
+            _truncated_step([one, (0, 2, [1])], [5, 5], [one, one], [5, 5],
+                            0, (0, 1, [3, 1]), 5)

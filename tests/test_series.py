@@ -544,3 +544,81 @@ class TestDivide:
         assert routes["kronecker"] == (4 if route == "kronecker" else 0)
         with pytest.raises(ArithmeticError):  # dividend shorter than divisor
             series._divexact_ascending(p[:len(d) - 1], d)
+
+
+def grid_terms(x, prec=INF):
+    """{exponent: coefficient} of a grid triple's value below t^prec."""
+    if x is None:
+        return {}
+    low, c, coeffs = x
+    return {low + i: c * v for i, v in enumerate(coeffs)
+            if v and low + i < prec}
+
+
+def rand_triple(rng):
+    """A grid triple with a negative or positive low, 1-20 slots, a content
+    and, half the time, a list with a common factor (as a cut list has)."""
+    length = rng.choice((1, 2, 5, 9, 14, 20))
+    coeffs = [rng.choice((0, rng.randint(-40, 40))) for _ in range(length)]
+    coeffs[0] = coeffs[0] or 3
+    coeffs[-1] = coeffs[-1] or -7
+    if rng.random() < 0.5:
+        coeffs = [rng.choice((2, 6)) * v for v in coeffs]
+    return rng.randint(-15, 8), rng.choice((1, 1, 4, 9)), coeffs
+
+
+class TestTruncatedGridKernels:
+    """With a precision, grid_mul, grid_sub and grid_divexact give the
+    exact result's terms below that order, from operands cut there."""
+
+    def test_products_and_differences_match_the_cut_exact_result(self):
+        rng = random.Random(111)
+        for _ in range(400):
+            x, y = rand_triple(rng), rand_triple(rng)
+            prod, diff = series.grid_mul(x, y), series.grid_sub(x, y)
+            lo = min(x[0], y[0])
+            for prec in (x[0] + y[0] - 1, x[0] + y[0], lo, lo + 1,
+                         rng.randint(lo - 3, lo + 40), 100):
+                # a product's terms below prec involve its factors' terms
+                # below prec - (the other factor's low) only
+                xc = series.grid_cut(x, prec - y[0])
+                yc = series.grid_cut(y, prec - x[0])
+                assert (grid_terms(series.grid_mul(xc, yc, prec))
+                        == grid_terms(prod, prec))
+                assert (grid_terms(series.grid_sub(
+                    series.grid_cut(x, prec), series.grid_cut(y, prec),
+                    prec)) == grid_terms(diff, prec))
+                assert (grid_terms(series.grid_sub(x, None, prec))
+                        == grid_terms(x, prec))
+                assert (grid_terms(series.grid_sub(None, y, prec))
+                        == grid_terms(series.grid_sub(None, y), prec))
+
+    def test_quotients_match_the_cut_exact_quotient(self):
+        rng = random.Random(112)
+        for _ in range(400):
+            q, d = rand_triple(rng), rand_triple(rng)
+            x = series.grid_mul(q, d)
+            assert grid_terms(series.grid_divexact(x, d)) == grid_terms(q)
+            vq, vd = q[0], d[0]
+            for px, pd in ((x[0] + 1, d[0] + 1),
+                           (rng.randint(x[0] + 1, x[0] + 30),
+                            rng.randint(d[0] + 1, d[0] + 30)),
+                           (200, 200)):
+                # the low terms of x/d follow from those of x and d
+                bound = min(px - vd, pd - 2 * vd + x[0])
+                for prec in (vq + 1, bound, rng.randint(vq + 1, bound)):
+                    got = series.grid_divexact(series.grid_cut(x, px),
+                                               series.grid_cut(d, pd), prec)
+                    assert grid_terms(got) == grid_terms(q, prec)
+            assert series.grid_divexact(x, d, vq) is None
+
+    def test_inexact_truncated_quotient_raises(self):
+        # 1 / (2 + t): the first term is already no integer
+        with pytest.raises(ArithmeticError):
+            series.grid_divexact((0, 1, [1]), (0, 1, [2, 1]), 3)
+        # (2 + 3t + 5t^2) / (2 + 4t): 2/2 = 1, then (3 - 4)/2 is not
+        with pytest.raises(ArithmeticError):
+            series.grid_divexact((-2, 1, [2, 3, 5]), (-1, 1, [2, 4]), 1)
+        # a content the divisor's does not divide, multiplied back in
+        with pytest.raises(ArithmeticError):
+            series.grid_divexact((0, 3, [1, 1]), (0, 2, [1]), 2)
