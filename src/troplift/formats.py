@@ -262,7 +262,7 @@ def render_series(x, upto):
         else:
             parts.append(("+ " if c > 0 else "- ") + frag)
     rendered = " ".join(parts) if parts else "0"
-    tail = x - x.truncation(upto)
+    tail = x - PuiseuxFraction.from_terms(coeffs)
     if tail:
         rendered += " + O(t^%s)" % tail.valuation()
     return rendered

@@ -22,10 +22,11 @@ The two callers run different passes with different pivot keys.
 `kernel_basis`, which the circuit oracle runs, pivots by least
 |valuation| (any pivot order gives the same kernel, and that one keeps
 the oracle's small entries sparse) and runs both passes, because it
-needs every N.  `rref_solve`, which `troplift.lift.decide` runs, pivots
-by least valuation: full pivoting by valuation (Caruso, Roe and Vaccon,
-"p-adic stability in linear algebra", ISSAC 2015), so every reduced
-free-column entry has valuation >= 0, which the lifting stages rely on.
+needs N in every free column.  `rref_solve`, which `troplift.lift.decide`
+runs, pivots by least valuation: full pivoting by valuation (Caruso, Roe
+and Vaccon, "p-adic stability in linear algebra", ISSAC 2015), so every
+reduced free-column entry has valuation >= 0, which the lifting stages
+rely on.
 The verdict reads only the orders <= 0 of its reduced entries, which a
 back pass over truncated series gives (`_lowest_orders`).  On systems of
 TRUNCATE_MIN_STEPS elimination steps or more, with TRUNCATE_MIN_FREE
@@ -39,7 +40,8 @@ kept orders do not settle a pivot or a read, the pass reruns with more.
 Once the free coordinates are fixed, one exact fraction-free pass over
 [B | c], the pivot block and one column, gives the pivot coordinates
 (`RrefResult.pivot_values`).  N and D, and the reduced entries N/D, are
-built by the exact passes on first read only.
+built by the exact passes on first read only, from the grid rows the
+`RrefResult` keeps.
 """
 
 from __future__ import annotations
@@ -102,59 +104,6 @@ class Matrix:
         return len(self.rows)
 
 
-@dataclass
-class Echelon:
-    """A system's input rows and pivot sequence, on its common grid t^(1/q).
-
-    Nothing but `forward` modifies it once built (a plain dataclass: the
-    oracle builds thousands, and a frozen one costs more to construct).
-
-    `grid[k]` holds input row k as grid triples (None is zero), cleared of
-    denominators and scaled to integer contents; an exact solve, whose
-    forward rows serve every later read, keeps no grid (None).  Pivot row
-    i is input row order[i], pivoting in column pivot_cols[i].
-    `scales[i]` divides pivot row i's triples back to the input's scale:
-    the full back pass brings every pivot row to scale S, the product of
-    the pivot rows' own scales, and a row past the rank keeps S times its
-    own.
-
-    `rows` and `pivots` are the exact forward pass on that sequence: U[i],
-    the forward-pass row of input row order[i], and the pivots D_i =
-    U[i][pivot_cols[i]].  An exact solve sets them; after a truncated one
-    `forward` builds them on first use.
-    """
-
-    grid: list
-    order: list
-    pivot_cols: list
-    q: int
-    scales: list
-    rows: list = None
-    pivots: list = None
-
-    def forward(self):
-        """The exact forward rows U and pivots D_0..D_(r-1)."""
-        if self.rows is None:
-            rows = [self.grid[k] for k in self.order]
-            self.pivots = _forward(rows, plan=self.pivot_cols)[1]
-            self.rows = rows
-        return self.rows, self.pivots
-
-    def den(self):
-        """The common pivot D (1 at rank 0)."""
-        if not self.pivot_cols:
-            return LaurentPolynomial.one()
-        return from_grid(self.forward()[1][-1], self.q, self.scales[0])
-
-    def numerators(self):
-        """The full back pass, on a copy: the Laurent numerator rows N."""
-        rows, pivots = self.forward()
-        rows, q = list(rows), self.q
-        _back(rows, self.pivot_cols, pivots)
-        return [[from_grid(x, q, s) for x in row]
-                for row, s in zip(rows, self.scales)]
-
-
 @dataclass(frozen=True)
 class RrefResult:
     """Outcome of fraction-free reduced row elimination on an augmented system.
@@ -169,15 +118,23 @@ class RrefResult:
     valuation >= 0; a right-hand side's reaches its lowest valuation.
 
     `head` and the pivot sequence come from one forward pass, truncated
-    on systems past the crossover (see `rref_solve`).
-    `pivot_values` and the fields below are exact whichever pass ran.
+    on systems past the crossover (see `rref_solve`).  The last four
+    fields hold the system on its common grid t^(1/q): after a truncated
+    solve, `inputs`, the input rows as grid triples in pivot order; after
+    an exact one, `forward`, the exact forward rows U on that order and
+    the pivots D_i = U[i][pivot_cols[i]]; and `scales`, which divide row
+    i's triples back to the input's scale (after the full back pass, a
+    pivot row carries S, the product of the pivot rows' own scales, and a
+    row past the rank S times its own).
+
+    `pivot_values` and the attributes below are exact whichever pass ran.
     `num` (the eliminated Laurent numerator rows N, right-hand side last),
     `den` (the common pivot D), and `matrix` and `rhs` (the reduced entries
-    as series scalars) are built from `echelon` through the exact forward
-    pass on the same pivot sequence and the full back pass, on first
-    read.  Rows past `rank` are zero but for their right-hand sides, which
-    `num` keeps undivided; the solution set of (matrix, rhs) equals that
-    of the input system.
+    as series scalars) come from the exact forward pass, run on the pivot
+    sequence from `inputs` if `forward` is unset, and the full back pass,
+    on first read.  Rows past `rank` are zero but for their right-hand
+    sides, which `num` keeps undivided; the solution set of (matrix, rhs)
+    equals that of the input system.
     """
 
     pivot_cols: tuple
@@ -185,7 +142,10 @@ class RrefResult:
     rank: int
     consistent: bool
     head: tuple
-    echelon: Echelon = field(compare=False, repr=False)
+    q: int = field(compare=False, repr=False)
+    scales: list = field(compare=False, repr=False)
+    inputs: list = field(compare=False, repr=False)
+    forward: tuple = field(compare=False, repr=False)
 
     def pivot_values(self, values):
         """Pivot coordinates B^-1 (b - A_free*y), y = {free column: rational}.
@@ -200,7 +160,6 @@ class RrefResult:
         pivot rows' input entries in the pivot columns, runs on the pivot
         sequence fixed.  Returns one series scalar per pivot row.
         """
-        ech = self.echelon
         ys = {f: Fraction(y) for f, y in values.items() if y}
         scale = math.lcm(*(y.denominator for y in ys.values()))
 
@@ -210,30 +169,40 @@ class RrefResult:
                 acc = grid_sub(acc, _grid_scale(row[f], int(y * scale)))
             return acc
 
-        if ech.rows is not None:
-            rows, pivots, cols = ech.rows, ech.pivots, self.pivot_cols
+        if self.forward is not None:
+            rows, pivots = self.forward
+            cols = self.pivot_cols
             w = [combined(row) for row in rows[:self.rank]]
         else:
-            rows = [[ech.grid[k][c] for c in self.pivot_cols]
-                    + [combined(ech.grid[k])] for k in ech.order[:self.rank]]
+            rows = [[row[c] for c in self.pivot_cols] + [combined(row)]
+                    for row in self.inputs[:self.rank]]
             cols = range(self.rank)
             pivots = _forward(rows, plan=cols)[1]
             w = [row[-1] for row in rows]
         if not pivots:
             return ()
         column = _back_column(rows, cols, pivots, w)
-        d = from_grid(pivots[-1], ech.q, ech.scales[0])
-        s = ech.scales[0] * scale
-        return tuple(PuiseuxFraction(from_grid(x, ech.q, s), d)
+        d = from_grid(pivots[-1], self.q, self.scales[0])
+        s = self.scales[0] * scale
+        return tuple(PuiseuxFraction(from_grid(x, self.q, s), d)
                      for x in column)
 
     @cached_property
     def num(self):
-        return tuple(map(tuple, self.echelon.numerators()))
+        if self.forward is None:
+            rows = list(self.inputs)
+            pivots = _forward(rows, plan=self.pivot_cols)[1]
+        else:
+            rows, pivots = list(self.forward[0]), self.forward[1]
+        _back(rows, self.pivot_cols, pivots)
+        return tuple(tuple(from_grid(x, self.q, s) for x in row)
+                     for row, s in zip(rows, self.scales))
 
     @cached_property
     def den(self):
-        return self.echelon.den()
+        # the full back pass leaves D in every pivot row's pivot column
+        return (self.num[0][self.pivot_cols[0]] if self.rank
+                else LaurentPolynomial.one())
 
     def _entry(self, i, j):
         x = self.num[i][j]
@@ -589,35 +558,6 @@ def _on_grid(rows):
     return grid, q, scales
 
 
-def _row_scales(scales, order, rank):
-    """`Echelon.scales` from the input rows' scales L_i.
-
-    Scaling the input rows scales every minor by the scales of the rows it
-    spans, so after the full back pass the pivot rows are scaled by S, the
-    product of the pivot rows' scales, and a row past the rank by S times
-    its own.
-    """
-    s = math.prod(scales[k] for k in order[:rank])
-    return [s if i < rank else s * scales[k] for i, k in enumerate(order)]
-
-
-def _echelon(rows, ncols, key):
-    """The exact forward pass, pivot key `key`, on rows of series scalars."""
-    grid, q, scales = _on_grid(rows)
-    pivot_cols, pivots, order, _ = _forward(grid, ncols, key)
-    return Echelon(grid=None, order=order, pivot_cols=pivot_cols, q=q,
-                   scales=_row_scales(scales, order, len(pivot_cols)),
-                   rows=grid, pivots=pivots)
-
-
-def _eliminate(rows, ncols, key):
-    """Both passes: the Laurent numerator rows N, the pivot columns and D."""
-    ech = _echelon(rows, ncols, key)
-    polys = ech.numerators()
-    d = polys[0][ech.pivot_cols[0]] if ech.pivots else LaurentPolynomial.one()
-    return polys, ech.pivot_cols, d
-
-
 # `rref_solve` runs its forward pass truncated on systems with at least
 # TRUNCATE_MIN_STEPS elimination steps, min(rows, columns), and at least
 # TRUNCATE_MIN_FREE more columns than rows.  The witness then needs the
@@ -702,18 +642,18 @@ def rref_solve(matrix, rhs):
             if prec > span:
                 prec = None
     exact = prec is None
-    ech = Echelon(grid=None if exact else grid, order=order,
-                  pivot_cols=pivot_cols, q=q,
-                  scales=_row_scales(scales, order, rank),
-                  rows=rows if exact else None,
-                  pivots=pivots if exact else None)
+    s = math.prod(scales[k] for k in order[:rank])
     return RrefResult(
         pivot_cols=tuple(pivot_cols),
         free_cols=tuple(c for c in range(n) if c not in pivot_cols),
         rank=rank,
         consistent=consistent,
         head=head,
-        echelon=ech,
+        q=q,
+        scales=[s if i < rank else s * scales[k]
+                for i, k in enumerate(order)],
+        inputs=None if exact else [grid[k] for k in order],
+        forward=(rows, pivots) if exact else None,
     )
 
 
@@ -722,21 +662,29 @@ def kernel_basis(matrix, ncols=None):
 
     One vector per free column f: the reduced-form basis vector scaled by
     the common pivot D, so D at f, -N[i][f] at the pivot column of pivot
-    row i and zero elsewhere; every entry has denominator 1.  An empty
+    row i and zero elsewhere; every entry has denominator 1.  Both passes
+    run exactly, pivoting by least |valuation|, and only the pivot rows'
+    free-column entries are built as Laurent polynomials.  An empty
     matrix needs ``ncols`` and gives the unit vectors.
     """
     if not matrix and ncols is None:
         raise ValueError("empty matrix needs an explicit column count")
     n = len(matrix[0]) if matrix else ncols
-    polys, pivot_cols, d = _eliminate(matrix, n, _near_zero_key)
+    rows, q, scales = _on_grid(matrix)
+    pivot_cols, pivots, order, _ = _forward(rows, n, _near_zero_key)
+    _back(rows, pivot_cols, pivots)
+    # every pivot row now carries scale S, the product of their own scales
+    s = math.prod(scales[k] for k in order[:len(pivot_cols)])
+    d = PuiseuxFraction(from_grid(pivots[-1], q, s) if pivots
+                        else LaurentPolynomial.one())
     zero = PuiseuxFraction.zero()
     basis = []
     for f in range(n):
         if f in pivot_cols:
             continue
         vec = [zero] * n
-        vec[f] = PuiseuxFraction(d)
-        for i, c in enumerate(pivot_cols):
-            vec[c] = PuiseuxFraction(-polys[i][f])
+        vec[f] = d
+        for row, c in zip(rows, pivot_cols):
+            vec[c] = PuiseuxFraction(-from_grid(row[f], q, s))
         basis.append(tuple(vec))
     return basis

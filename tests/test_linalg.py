@@ -23,9 +23,7 @@ from troplift.linalg import (
     TRUNCATE_MIN_FREE,
     TRUNCATE_MIN_STEPS,
     _clear_denominators,
-    _eliminate,
     _forward,
-    _least_valuation_key,
     _lowest_orders,
     _truncated_step,
     kernel_basis,
@@ -320,7 +318,7 @@ class TestRrefSeriesField:
                 rows = [[random_scalar(rng, zero=False) * x for x in base]
                         for _ in range(m)]
             red = rref_solve(rows, rhs)
-            q = red.echelon.q
+            q = red.q
             # every column, pivot columns and the right-hand side included
             entries = [(i, j) for i in range(red.rank) for j in range(n + 1)]
             expansions = shared_expansions(
@@ -414,20 +412,57 @@ def poly_key(p):
     return p.valuation(), p.term_count
 
 
-def eliminate_matches_gauss_jordan(rows, ncols):
-    """`_eliminate` against the reference run on the cleared object rows.
+def near_zero_key(p):
+    """`kernel_basis`'s pivot key on Laurent polynomial objects."""
+    return abs(p.valuation()), p.term_count
 
+
+def eliminate_matches_gauss_jordan(rows, ncols):
+    """`rref_solve`'s exact passes against the reference on the cleared rows.
+
+    Each row holds `ncols` coefficients and then its right-hand side.
     Equal pivots, equal rows N entrywise (so equal rows past the rank,
-    hence equal rank and consistency) and equal D.  Returns (N, pivots).
+    hence equal rank and consistency) and equal D.  The systems sit below
+    the truncation crossover, so the pivots are the exact pass's.
+    Returns (N, pivots).
     """
     want = [_clear_denominators(row) for row in rows]
     want_cols = gauss_jordan_bareiss(want, ncols, poly_key, laurent_divexact)
-    got, got_cols, d = _eliminate(rows, ncols, _least_valuation_key)
-    assert got_cols == want_cols
-    assert [list(row) for row in got] == want
-    assert d == (want[0][want_cols[0]] if want_cols
-                 else LaurentPolynomial.one())
-    return got, got_cols
+    red = rref_solve([row[:ncols] for row in rows],
+                     [row[ncols] for row in rows])
+    assert red.forward is not None
+    assert list(red.pivot_cols) == want_cols
+    assert red.rank == len(want_cols)
+    assert red.consistent == (not any(row[ncols]
+                                      for row in want[red.rank:]))
+    assert [list(row) for row in red.num] == want
+    assert red.den == (want[0][want_cols[0]] if want_cols
+                       else LaurentPolynomial.one())
+    return red.num, want_cols
+
+
+def kernel_matches_gauss_jordan(rows):
+    """`kernel_basis` against the reference run on the cleared rows.
+
+    The reference pivots by the same least-|valuation| key; the vector of
+    free column f must be D*e_f - sum_i N[i][f]*e_(c_i).  Returns the
+    pivot columns.
+    """
+    n = len(rows[0])
+    want = [_clear_denominators(row) for row in rows]
+    cols = gauss_jordan_bareiss(want, n, near_zero_key, laurent_divexact)
+    d = PuiseuxFraction(want[0][cols[0]] if cols
+                        else LaurentPolynomial.one())
+    basis = []
+    for f in range(n):
+        if f not in cols:
+            vec = [ZERO] * n
+            vec[f] = d
+            for row, c in zip(want, cols):
+                vec[c] = PuiseuxFraction(-row[f])
+            basis.append(tuple(vec))
+    assert kernel_basis(rows) == basis
+    return cols
 
 
 def tally_shapes(seen, rows, ncols, reduced, rank):
@@ -469,7 +504,7 @@ class TestBareissKernel:
         rng = random.Random(83)
         seen = dict.fromkeys(["rank>=3", "deficient", "inconsistent", "tall",
                               "wide", "one_row", "zero_column", "ratio",
-                              "no_columns"], 0)
+                              "no_columns", "kernel_pivots_differ"], 0)
         for _ in range(200):
             m, n = rng.randint(1, 5), rng.randint(0, 5)
             rows = [[random_scalar(rng) for _ in range(n)] + [random_scalar(rng)]
@@ -488,6 +523,9 @@ class TestBareissKernel:
             seen["no_columns"] += n == 0
             got, cols = eliminate_matches_gauss_jordan(rows, n)
             tally_shapes(seen, rows, n, got, len(cols))
+            kernel_cols = kernel_matches_gauss_jordan(
+                [row[:n] for row in rows])
+            seen["kernel_pivots_differ"] += kernel_cols != cols
         assert all(seen.values()), seen
 
     def test_row_scales_and_grids(self):
@@ -498,7 +536,8 @@ class TestBareissKernel:
         rng = random.Random(97)
         seen = dict.fromkeys(["mixed_grids", "row_scales_differ", "negative",
                               "ratio", "rank0", "rank1", "rank>=2",
-                              "scaled_rhs_past_rank"], 0)
+                              "scaled_rhs_past_rank",
+                              "kernel_pivots_differ"], 0)
         for _ in range(150):
             m, n = rng.randint(1, 5), rng.randint(1, 4)
             dens = [rng.choice([1, 2, 3, 4, 6, 7]) for _ in range(m)]
@@ -518,6 +557,9 @@ class TestBareissKernel:
                 if rng.random() < 0.3:
                     row[:] = [-x for x in row]
             got, cols = eliminate_matches_gauss_jordan(rows, n)
+            kernel_cols = kernel_matches_gauss_jordan(
+                [row[:n] for row in rows])
+            seen["kernel_pivots_differ"] += kernel_cols != cols
             rank = len(cols)
             cleared = [_clear_denominators(row) for row in rows]
             scales = [math.lcm(*(p.content.denominator for p in row))
@@ -597,13 +639,13 @@ def exact_route(red, n):
     pivots: the rank (every pivot nonzero, rows past it zero in every
     column), consistency and `head`.  Each pivot must also have the least
     valuation in its own row, which `head` relies on.  Returns red with
-    the exact rows in its echelon, so `pivot_values` reads them.
+    the exact forward rows set, so `pivot_values` reads them.
     """
-    ech = red.echelon
-    if ech.grid is None:  # an exact solve: its own forward rows
-        rows, pivots = ech.rows, ech.pivots
+    assert (red.inputs is None) != (red.forward is None)
+    if red.forward is not None:  # an exact solve: its own forward rows
+        rows, pivots = red.forward
     else:
-        rows = [ech.grid[k] for k in ech.order]
+        rows = list(red.inputs)
         pivots = _forward(rows, plan=red.pivot_cols)[1]
     assert all(pivots) and len(pivots) == red.rank
     for row in rows[red.rank:]:
@@ -613,8 +655,7 @@ def exact_route(red, n):
         assert all(row[j][0] >= p[0] for j in range(n)
                    if row[j] and j not in red.pivot_cols[:i])
     assert red.head == _lowest_orders(rows, list(red.pivot_cols), pivots)
-    return dataclasses.replace(
-        red, echelon=dataclasses.replace(ech, rows=rows, pivots=pivots))
+    return dataclasses.replace(red, inputs=None, forward=(rows, pivots))
 
 
 def check_against_exact_route(red, n, rng):
@@ -680,10 +721,10 @@ class TestTruncatedPass:
                     red = rref_solve(sub.matrix, sub.rhs)
                     m, width = len(sub.matrix), len(sub.matrix[0])
                     check_against_exact_route(red, width, rng)
-                    assert (red.echelon.rows is None) == truncates(m, width)
-                    seen["truncated"] += red.echelon.rows is None
-                    seen["exact"] += red.echelon.rows is not None
-                    seen["grid>1"] += red.echelon.q > 1
+                    assert (red.forward is None) == truncates(m, width)
+                    seen["truncated"] += red.forward is None
+                    seen["exact"] += red.forward is not None
+                    seen["grid>1"] += red.q > 1
         # square slices, left once their infinite columns are gone, and
         # slices with one free column take the exact route
         assert seen["truncated"] == 51 and seen["exact"] == 3, seen
@@ -701,7 +742,7 @@ class TestTruncatedPass:
         red = rref_solve(rows, rhs)
         assert len(attempts) >= 2 and None not in attempts
         assert attempts == sorted(attempts)
-        assert red.echelon.rows is None
+        assert red.forward is None
         assert min(len(h[-1]) for h in red.head) == 21
         check_against_exact_route(red, 8, rng)
 
@@ -717,7 +758,7 @@ class TestTruncatedPass:
                     for a in rows[0]]
         red = rref_solve(rows, rhs)
         assert len(attempts) >= 2 and None not in attempts
-        assert red.rank == 7 and red.echelon.rows is None
+        assert red.rank == 7 and red.forward is None
         check_against_exact_route(red, 9, rng)
 
     def test_singular_schur_complement_ends_exact(self, attempts):
