@@ -36,8 +36,8 @@ yes.  The pipeline:
    all their zero sets unless one of them is the zero form;
 5. with the free coordinates y fixed, solve B x = b - A_free*y exactly
    for the pivot coordinates, B the pivot block: one exact fraction-free
-   pass over [B | b - A_free*y] on the pivot sequence fixed (reusing the
-   forward rows when the forward pass was exact) and one
+   pass over [B | b - A_free*y], pivoting by entry size (reusing the
+   forward rows when the forward pass was exact), and one
    back-substituted column; then undo the scalings, sum the slices, and
    re-verify the witness before returning it.
 
@@ -54,7 +54,7 @@ from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 
-from troplift.linalg import LinearForm, Matrix, rref_solve
+from troplift.linalg import LiftInternalError, LinearForm, Matrix, rref_solve
 from troplift.series import INF, LaurentPolynomial, PuiseuxFraction
 
 __all__ = [
@@ -87,10 +87,6 @@ STAGE_FAMILY_L = "FamilyLVanishes"
 # nonconstant entry on grid q has a nonzero exponent, at least Q/q steps
 # from 0.
 MAX_GRID_SPAN = 10_000
-
-
-class LiftInternalError(RuntimeError):
-    """An invariant the algorithm guarantees was violated; always a defect."""
 
 
 class OversizedEntry(ValueError):
@@ -580,7 +576,12 @@ def verify_witness(inst, v, x):
     """Exact check: A*x = b and every coordinate has the requested valuation.
 
     Each row is tested as one polynomial identity over a common
-    denominator of its terms a_ij*x_j and -b_i.
+    denominator C of its terms a_ij*x_j and -b_i: the product of every
+    distinct denominator factor, each to the largest power it has in one
+    term.  Terms with the same factors are summed first, and each group's
+    sum is brought to C with one product per factor it lacks, so the row
+    sum is zero exactly when the sum of those is: no gcd and no division
+    is needed.
     """
     v = as_point(v)
     if len(v) != inst.n or len(x) != inst.n:
@@ -590,31 +591,23 @@ def verify_witness(inst, v, x):
         terms = [(a.num * xi.num, (a.den, xi.den))
                  for a, xi in zip(row, x) if a and xi]
         terms.append((-b.num, (b.den,)))
-        if not _sums_to_zero(terms):
+        groups = {}  # factors as a frozenset of items -> [Counter, sum]
+        for num, dens in terms:
+            factors = Counter(d for d in dens if not d.is_one)
+            group = groups.setdefault(frozenset(factors.items()),
+                                      [factors, LaurentPolynomial.zero()])
+            group[1] = group[1] + num
+        common = Counter()
+        for factors, _ in groups.values():
+            common |= factors
+        acc = LaurentPolynomial.zero()
+        for factors, num in groups.values():
+            for f in (common - factors).elements():
+                num = num * f
+            acc = acc + num
+        if not acc.is_zero:
             return False
     for xi, vi in zip(x, v):
         if xi.valuation() != vi:
             return False
     return True
-
-
-def _sums_to_zero(terms):
-    """Whether the sum of num / prod(dens) over (num, dens) terms is zero.
-
-    The common denominator C is the product of every distinct
-    denominator factor, each to the largest power it has in one term.  C
-    is a multiple of every term's denominator, so the sum is zero exactly
-    when the polynomial sum of num * C/den is, and C/den is a product of
-    factors: no gcd and no division is needed.
-    """
-    factored = [(num, Counter(d for d in dens if not d.is_one))
-                for num, dens in terms]
-    common = Counter()
-    for _, factors in factored:
-        common |= factors
-    acc = LaurentPolynomial.zero()
-    for num, factors in factored:
-        for f in (common - factors).elements():
-            num = num * f
-        acc = acc + num
-    return acc.is_zero

@@ -1,4 +1,4 @@
-"""Exact linear algebra: one fraction-free elimination kernel, two pivot keys.
+"""Exact linear algebra: one fraction-free kernel and three pivot keys.
 
 The kernel reduces an augmented system of series scalars fraction-free
 (Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
@@ -18,15 +18,14 @@ inexact division).  Laurent polynomial objects are built once, from the
 eliminated lists.  After the full back pass every pivot row carries the
 same pivot D, so each reduced entry is N/D.
 
-The two callers run different passes with different pivot keys.
-`kernel_basis`, which the circuit oracle runs, pivots by least
-|valuation| (any pivot order gives the same kernel, and that one keeps
-the oracle's small entries sparse) and runs both passes, because it
-needs N in every free column.  `rref_solve`, which `troplift.lift.decide`
-runs, pivots by least valuation: full pivoting by valuation (Caruso, Roe
-and Vaccon, "p-adic stability in linear algebra", ISSAC 2015), so every
-reduced free-column entry has valuation >= 0, which the lifting stages
-rely on.
+The passes differ in their pivot keys.  `kernel_basis`, which the
+circuit oracle runs, pivots by least |valuation| (any pivot order gives
+the same kernel, and that one keeps the oracle's small entries sparse)
+and runs both passes, because it needs N in every free column.
+`rref_solve`, which `troplift.lift.decide` runs, pivots by least
+valuation: full pivoting by valuation (Caruso, Roe and Vaccon, "p-adic
+stability in linear algebra", ISSAC 2015), so every reduced free-column
+entry has valuation >= 0, which the lifting stages rely on.
 The verdict reads only the orders <= 0 of its reduced entries, which a
 back pass over truncated series gives (`_lowest_orders`).  On systems of
 TRUNCATE_MIN_STEPS elimination steps or more, with TRUNCATE_MIN_FREE
@@ -39,9 +38,12 @@ solutions to systems of linear equations", EUROSAM 1979).  Where the
 kept orders do not settle a pivot or a read, the pass reruns with more.
 Once the free coordinates are fixed, one exact fraction-free pass over
 [B | c], the pivot block and one column, gives the pivot coordinates
-(`RrefResult.pivot_values`).  N and D, and the reduced entries N/D, are
-built by the exact passes on first read only, from the grid rows the
-`RrefResult` keeps.
+(`RrefResult.pivot_values`).  x = B^-1 c and its Cramer minors are the
+same up to sign in any pivot order, so that pass picks its own pivots by
+the third key, entry size: fewest slots, then fewest coefficient bits,
+so each step multiplies by the smallest entry left.  N and D, and the
+reduced entries N/D, are built by the exact passes on first read only,
+from the grid rows the `RrefResult` keeps.
 """
 
 from __future__ import annotations
@@ -72,6 +74,10 @@ __all__ = [
     "rref_solve",
     "kernel_basis",
 ]
+
+
+class LiftInternalError(RuntimeError):
+    """An invariant the algorithm guarantees was violated; always a defect."""
 
 
 @dataclass(frozen=True)
@@ -157,8 +163,12 @@ class RrefResult:
         Y*(N_rhs - sum_f y_f*N_f), and pivot coordinate i is N_w[i] / (Y*D).
         After an exact solve w comes from the forward rows U.  After a
         truncated one, an exact fraction-free pass over [B | c], B the
-        pivot rows' input entries in the pivot columns, runs on the pivot
-        sequence fixed.  Returns one series scalar per pivot row.
+        pivot rows' input entries in the pivot columns, pivots by entry
+        size (`_size_key`): x = B^-1 c whatever the order, and the back
+        column's entry for B's column k is pivot row k's coordinate.  B
+        is nonsingular, since the truncated pass found a nonzero pivot in
+        each of its rows; a pass ending below full rank raises
+        LiftInternalError.  Returns one series scalar per pivot row.
         """
         ys = {f: Fraction(y) for f, y in values.items() if y}
         scale = math.lcm(*(y.denominator for y in ys.values()))
@@ -172,20 +182,26 @@ class RrefResult:
         if self.forward is not None:
             rows, pivots = self.forward
             cols = self.pivot_cols
+            slots = range(self.rank)
             w = [combined(row) for row in rows[:self.rank]]
         else:
             rows = [[row[c] for c in self.pivot_cols] + [combined(row)]
                     for row in self.inputs[:self.rank]]
-            cols = range(self.rank)
-            pivots = _forward(rows, plan=cols)[1]
+            cols, pivots = _forward(rows, self.rank, _size_key)[:2]
+            if len(cols) < self.rank:
+                raise LiftInternalError("pivot block of rank %d has rank %d"
+                                        % (self.rank, len(cols)))
+            slots = cols
             w = [row[-1] for row in rows]
         if not pivots:
             return ()
         column = _back_column(rows, cols, pivots, w)
         d = from_grid(pivots[-1], self.q, self.scales[0])
         s = self.scales[0] * scale
-        return tuple(PuiseuxFraction(from_grid(x, self.q, s), d)
-                     for x in column)
+        values = [None] * self.rank
+        for k, x in zip(slots, column):
+            values[k] = PuiseuxFraction(from_grid(x, self.q, s), d)
+        return tuple(values)
 
     @cached_property
     def num(self):
@@ -247,11 +263,13 @@ def _forward(rows, ncols=None, key=None, prec=None, plan=None):
     as pivot D_k the nonzero coefficient with the smallest (key(x), column,
     row) among the rows not used yet, swaps its row into place k, and
     replaces every row below by (D_k*a - f*b) / D_(k-1), undivided at
-    k = 0.  Each updated entry is a minor of the input (Sylvester's
-    identity), so the division is exact.  Every candidate at step k is
-    D_(k-1) times its Schur-complement entry, so a key on valuations ranks
-    those entries.  With `plan`, the rows are already in pivot order and
-    step k pivots at row k, column plan[k].
+    k = 0; in column k's own pivot column, where that is D_k*f - f*D_k,
+    the exact pass writes the zero without forming either product.  Each
+    updated entry is a minor of the input (Sylvester's identity), so the
+    division is exact.  Every candidate at step k is D_(k-1) times its
+    Schur-complement entry, so a key on valuations ranks those entries.
+    With `plan`, the rows are already in pivot order and step k pivots at
+    row k, column plan[k].
 
     With `prec`, the pass is truncated: every entry is known only below
     some order of t, its precision (INF for an exact zero), which
@@ -321,8 +339,9 @@ def _forward(rows, ncols=None, key=None, prec=None, plan=None):
             for i in range(rank + 1, m):
                 row = rows[i]
                 f = row[c]
-                new = ([grid_sub(grid_mul(piv, a), grid_mul(f, b))
-                        for a, b in zip(row, prow)]
+                new = ([None if j == c else
+                        grid_sub(grid_mul(piv, a), grid_mul(f, b))
+                        for j, (a, b) in enumerate(zip(row, prow))]
                        if f else [grid_mul(piv, a) for a in row])
                 rows[i] = new if prev is None else [
                     grid_divexact(x, prev) if x else x for x in new]
@@ -518,7 +537,9 @@ def _lowest_orders(rows, pivot_cols, pivots, precs=None):
 
 
 # Pivot keys on a triple (low, content, coefficients); on one grid, low
-# orders valuations.  Ties go to the sparsest entry, to limit fill-in.
+# orders valuations.  The valuation keys break ties by the sparsest entry,
+# to limit fill-in.  The size key, for the [B | c] pass, where any pivot
+# order gives the same x, ranks slots, then coefficient bits.
 
 def _least_valuation_key(x):
     low, _, coeffs = x
@@ -528,6 +549,12 @@ def _least_valuation_key(x):
 def _near_zero_key(x):
     low, _, coeffs = x
     return abs(low), len(coeffs) - coeffs.count(0)
+
+
+def _size_key(x):
+    _, c, coeffs = x
+    return len(coeffs), c.bit_length() + max(max(coeffs),
+                                             -min(coeffs)).bit_length()
 
 
 def _clear_denominators(entries):

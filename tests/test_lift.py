@@ -382,6 +382,102 @@ class TestVerifyWitness:
                 checked += 1
         assert checked > 40
 
+    def test_grouped_sums_match_series_arithmetic(self):
+        # verify_witness against sum_j a_ij*x_j - b_i in series arithmetic,
+        # on decide's witnesses for seeded planted members (every pivot
+        # coordinate over one D) and on systems whose rows carry 0, 1 or 2
+        # distinct denominators, with the same D in A and x (a term over
+        # D^2) and right-hand sides A*x over non-unit denominators; grids
+        # 1..3; each witness also with every coordinate bumped by c*t^k
+        from troplift.gen import GenConfig, gen_member
+
+        def reference(inst, v, x):
+            return (all(sum((a * xi for a, xi in zip(row, x)), ZERO) == b
+                        for row, b in zip(inst.matrix, inst.rhs))
+                    and tuple(xi.valuation() for xi in x) == v)
+
+        rng = random.Random(89)
+        seen = {key: 0 for key in ("dens0", "dens1", "dens2", "square",
+                                   "shared", "b_den", "bumped_true",
+                                   "bumped_false", "grid1", "grid2",
+                                   "grid3")}
+
+        def check(inst, v, x, grid):
+            assert reference(inst, v, x) and verify_witness(inst, v, x)
+            seen["grid%d" % grid] += 1
+            for row, b in zip(inst.matrix, inst.rhs):
+                pairs = [(a.den, xi.den) for a, xi in zip(row, x)
+                         if a and xi]
+                dens = {d for p in pairs for d in p if not d.is_one}
+                if not b.den.is_one:
+                    dens.add(b.den)
+                seen["dens%d" % min(len(dens), 2)] += 1
+                seen["square"] += any(d == e and not d.is_one
+                                      for d, e in pairs)
+                xdens = [e for _, e in pairs if not e.is_one]
+                seen["shared"] += len(set(xdens)) < len(xdens)
+                seen["b_den"] += not b.den.is_one
+            for j in range(len(x)):
+                if v[j] == INF:
+                    continue
+                k = v[j] + F(rng.randint(-1, 4), grid)
+                bumped = list(x)
+                bumped[j] = x[j] + px({k: rng.choice([-2, 1, 3])})
+                want = reference(inst, v, bumped)
+                assert verify_witness(inst, v, bumped) == want
+                seen["bumped_true" if want else "bumped_false"] += 1
+
+        for i in range(12):
+            grid = 1 + i % 3
+            cfg = GenConfig(seed=8900 + i, m=2 + i % 3, n=5 + i % 2,
+                            terms_per_entry=2, exp_lo=-2, exp_hi=2,
+                            grid_den=grid)
+            inst, v, _ = gen_member(cfg)
+            check(inst, v, decide(inst, v).witness, grid)
+
+        def poly(grid):
+            return LaurentPolynomial.from_terms(
+                {F(rng.randint(-2 * grid, 2 * grid), grid):
+                 F(rng.randint(-5, 5) or 1, rng.randint(1, 3))
+                 for _ in range(rng.randint(1, 3))})
+
+        for i in range(30):
+            grid = 1 + i % 3
+            one = LaurentPolynomial.one()
+            d1 = LaurentPolynomial.from_terms({0: 1, F(1, grid): 2})
+            d2 = LaurentPolynomial.from_terms({0: 3, F(2, grid): -1})
+            n = rng.randint(2, 4)
+            xdens = [rng.choice((one, d1, d1, d2)) for _ in range(n)]
+            x = [PuiseuxFraction(poly(grid), d) for d in xdens]
+            rows = []
+            for kind in (0, 1, 2):  # distinct denominators allowed
+                allowed = (one, d1, d2)[:kind + 1]
+                rows.append([PuiseuxFraction(poly(grid), rng.choice(allowed))
+                             if e in allowed and rng.random() < 0.8 else ZERO
+                             for e in xdens])
+            inst = Instance.from_rows(rows, [ZERO] * 3)
+            inst = Instance.from_rows(rows, matvec(inst, x))
+            check(inst, tuple(xi.valuation() for xi in x), x, grid)
+        assert all(seen.values()), seen
+
+    def test_hostile_fine_grid_witness_answers_fast(self):
+        # coordinates on t^(1/9973) against entries spanning t^-5..t^5 of
+        # grid 1: every product is a dense list of about 10^5 slots
+        import time
+
+        rows = [[px({-5: 2, 0: 1, 5: -3}), px({-4: 1, 3: 2}),
+                 px({5: 7, -5: 1})],
+                [px({-5: 1, 5: 1}), px({0: 3}), px({-2: 1, 4: -1})]]
+        inst = Instance.from_rows(rows, [ONE, px({1: 2})])
+        e = F(1, 9973)
+        den = LaurentPolynomial.from_terms({0: 1, e: 1})
+        x = (PuiseuxFraction(LaurentPolynomial.from_terms({0: 1, e: -2}),
+                             den),
+             px({0: 1, e: 1}), px({0: 2, 3 * e: 1, 4: 1}))
+        start = time.perf_counter()
+        assert not verify_witness(inst, (0, 0, 0), x)
+        assert time.perf_counter() - start < 1.0
+
 
 class TestMetamorphicProperties:
     def sample_cases(self, count, seed):

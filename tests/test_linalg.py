@@ -22,9 +22,13 @@ from troplift.lift import (
 from troplift.linalg import (
     TRUNCATE_MIN_FREE,
     TRUNCATE_MIN_STEPS,
+    LiftInternalError,
     _clear_denominators,
     _forward,
     _lowest_orders,
+    _near_zero_key,
+    _on_grid,
+    _size_key,
     _truncated_step,
     kernel_basis,
     rref_solve,
@@ -838,3 +842,92 @@ class TestTruncatedPass:
         with pytest.raises(ArithmeticError):
             _truncated_step([one, (0, 2, [1])], [5, 5], [one, one], [5, 5],
                             0, (0, 1, [3, 1]), 5)
+
+
+def planted_system(seed, n, grid):
+    """A planted m = n/2 instance with 3-term entries on grid t^(1/grid)."""
+    cfg = GenConfig(seed=seed, m=n // 2, n=n, terms_per_entry=3, exp_lo=-5,
+                    exp_hi=5, grid_den=grid, coeff_bound=9)
+    return gen_member(cfg)[0]
+
+
+class TestWitnessSolve:
+    """After a truncated solve, `pivot_values` eliminates [B | c] exactly
+    with its own pivots, by entry size; x = B^-1 c whatever their order."""
+
+    def test_size_ordered_solve_matches_both_routes(self, monkeypatch):
+        # pivot values at integer and rational y against the exact route's
+        # and against (N_rhs - sum_f N_f*y_f)/D from the full back pass
+        orders = []
+
+        def spy(rows, ncols=None, key=None, prec=None, plan=None):
+            out = _forward(rows, ncols, key, prec, plan)
+            if key is _size_key:
+                orders.append(out[0])
+            return out
+
+        monkeypatch.setattr(linalg, "_forward", spy)
+        rng = random.Random(157)
+        seen = Counter()
+        for n in range(12, 21):
+            for grid in (1, 2, 3):
+                inst = planted_system(1700 + 10 * n + grid, n, grid)
+                red = rref_solve(inst.matrix, inst.rhs)
+                assert red.forward is None and red.rank == n // 2
+                for den in (1, rng.randint(2, 6)):
+                    ys = {f: F(rng.randint(-5, 5), den)
+                          for f in red.free_cols}
+                    got = red.pivot_values(ys)
+                    assert len(got) == red.rank
+                    for x, row in zip(got, red.num):
+                        acc = row[n]
+                        for f, y in ys.items():
+                            acc = acc - row[f].scale(y)
+                        assert x.num * red.den == acc * x.den
+                check_against_exact_route(red, n, rng)
+                assert all(sorted(cols) == list(range(red.rank))
+                           for cols in orders)
+                seen["reordered"] += any(cols != list(range(red.rank))
+                                         for cols in orders)
+                seen["grid>1"] += red.q > 1
+                orders.clear()
+        # the size key must choose another order than the plan somewhere,
+        # or the test shows nothing
+        assert seen["reordered"] and seen["grid>1"], seen
+
+    def test_singular_pivot_block_is_an_internal_error(self):
+        # [B | c] from inputs whose pivot block is singular: the second
+        # pivot row repeats the first, so the pass ends below full rank
+        inst = planted_system(1777, 12, 1)
+        red = rref_solve(inst.matrix, inst.rhs)
+        assert red.forward is None
+        ys = dict.fromkeys(red.free_cols, F(1))
+        assert len(red.pivot_values(ys)) == red.rank
+        broken = dataclasses.replace(
+            red, inputs=[red.inputs[0], *red.inputs[:1], *red.inputs[2:]])
+        with pytest.raises(LiftInternalError):
+            broken.pivot_values(ys)
+
+    def test_exact_step_skips_the_eliminated_column(self, monkeypatch):
+        # piv*f - f*piv in the pivot column is zero by construction: no
+        # product may take both factors from one column of the rows
+        rng = random.Random(167)
+        rows = [[px({e: rng.randint(1, 9) for e in rng.sample(range(-3, 4),
+                                                              3)})
+                 for _ in range(7)] for _ in range(5)]
+        grid = _on_grid(rows)[0]
+        formed = Counter()
+
+        def spy(x, y, prec=None):
+            if x is not None and y is not None:
+                cols = [{j for row in grid for j, e in enumerate(row)
+                         if e is z} for z in (x, y)]
+                formed["same_column" if cols[0] & cols[1] else "other"] += 1
+            return grid_mul(x, y, prec)
+
+        monkeypatch.setattr(linalg, "grid_mul", spy)
+        pivot_cols = _forward(grid, 7, _near_zero_key)[0]
+        assert len(pivot_cols) == 5 and formed["other"] > 0
+        assert formed["same_column"] == 0, formed
+        for k, c in enumerate(pivot_cols):
+            assert all(row[c] is None for row in grid[k + 1:])
