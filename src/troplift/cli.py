@@ -38,9 +38,10 @@ from troplift.oracle import MAX_ORACLE_COLUMNS, TooLargeError, member_oracle
 from troplift.series import (
     INF,
     LaurentPolynomial,
+    grid_expand,
     laurent_divexact,
     laurent_gcd,
-    shared_expansions,
+    to_grid,
 )
 
 EXIT_OK = 0
@@ -182,9 +183,9 @@ def _cmd_gen(args):
 # largest reduced numerators decide builds on the bench generator at n=25
 # and n=50.
 KERNEL_SIZES = ((40, 26), (121, 144), (254, 363))
-# Orders the expansion kernel reads.  `decide` expands no series; the
-# kernel serves `check --expand`, which renders each witness coordinate
-# through the order asked for.
+# Orders the expansion kernel reads.  `decide` reads orders <= 0 of its
+# reduced entries through it, and `check --expand` renders each witness
+# coordinate through the order asked for.
 KERNEL_EXPANSION_ORDER = 16
 
 
@@ -247,7 +248,8 @@ def _kernel_timings(seed, budget_s=0.1):
 
     The multiply times a * b; the exact divide splits that product by b;
     the gcd is that of the pair, coprime like most gcds `decide` takes;
-    the expansion is a/b through order KERNEL_EXPANSION_ORDER.  Each round
+    the expansion is a/b at orders 0..KERNEL_EXPANSION_ORDER of t, as
+    grid triples (both operands start at t^0).  Each round
     gives every row one window of `budget_s` in turn, and a row keeps its
     best window, so a stall of the machine costs one window of one round
     rather than all windows of one row.
@@ -265,9 +267,10 @@ def _kernel_timings(seed, budget_s=0.1):
     kernels = (("LaurentPolynomial.__mul__", lambda a, b: (operator.mul, a, b)),
                ("laurent_divexact", lambda a, b: (laurent_divexact, a * b, b)),
                ("laurent_gcd", lambda a, b: (laurent_gcd, a, b)),
-               ("shared_expansions",
-                lambda a, b: (shared_expansions, [a], b,
-                              KERNEL_EXPANSION_ORDER)))
+               ("grid_expand",
+                lambda a, b: (grid_expand, to_grid(b, 1, 1),
+                              [(to_grid(a, 1, 1), 0,
+                                KERNEL_EXPANSION_ORDER)])))
     rows = [({"op": name, "terms": terms, "bits": bits}, call(a, b))
             for name, call in kernels for terms, bits, a, b in pairs]
     best = [math.inf] * len(rows)

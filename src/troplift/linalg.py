@@ -27,7 +27,8 @@ valuation: full pivoting by valuation (Caruso, Roe and Vaccon, "p-adic
 stability in linear algebra", ISSAC 2015), so every reduced free-column
 entry has valuation >= 0, which the lifting stages rely on.
 The verdict reads only the orders <= 0 of its reduced entries, which a
-back pass over truncated series gives (`_lowest_orders`).  On systems of
+back pass over truncated series gives (`_lowest_orders`, on the series
+expansion `troplift.series.grid_expand`).  On systems of
 TRUNCATE_MIN_STEPS elimination steps or more, with TRUNCATE_MIN_FREE
 columns more than rows, the forward pass beneath it is truncated too,
 over the integers: each entry keeps its terms below a tracked order of
@@ -60,6 +61,7 @@ from troplift.series import (
     from_grid,
     grid_cut,
     grid_divexact,
+    grid_expand,
     grid_mul,
     grid_sub,
     laurent_divexact,
@@ -453,33 +455,6 @@ def _grid_scale(x, k):
                                                [-v for v in coeffs])
 
 
-def _inverse(p, depth):
-    """Coefficients 0..depth of t^low / p, for a triple p = (low, c, P)."""
-    _, c, coeffs = p
-    p0 = coeffs[0]
-    inv = [Fraction(1, c * p0)]
-    for j in range(1, depth + 1):
-        acc = Fraction(0)
-        for i in range(1, min(j, len(coeffs) - 1) + 1):
-            acc -= coeffs[i] * inv[j - i]
-        inv.append(acc / p0)
-    return inv
-
-
-def _orders(u, low, inv, lo, hi):
-    """Coefficients at grid orders lo..hi of u/p, with inv = `_inverse`(p)."""
-    out = [0] * (hi - lo + 1)
-    if u is None:
-        return out
-    ul, c, coeffs = u
-    shift = ul - low
-    for e in range(max(lo, shift), hi + 1):
-        k = e - shift
-        out[e - lo] = c * sum(coeffs[a] * inv[k - a]
-                              for a in range(min(k, len(coeffs) - 1) + 1))
-    return out
-
-
 def _lowest_orders(rows, pivot_cols, pivots, precs=None):
     """Orders <= 0 of every reduced entry of the pivot rows: `RrefResult.head`.
 
@@ -491,7 +466,9 @@ def _lowest_orders(rows, pivot_cols, pivots, precs=None):
     reduced entries have valuation >= -K_j, K_j = max(0, max_i(val
     U[i][c_i] - val U[i][j])), and their orders -K_j..0 depend only on
     orders -K_j..0 of the x_k and 0..K_j of the a_(i,c_k).  Truncating
-    there is exact.  A free column's K is 0 by the same pivot rule.
+    there is exact.  A free column's K is 0 by the same pivot rule.  One
+    `grid_expand` call per row expands the a_(i,c_k) at orders 0..max K
+    and the a_(i,j) at orders -K_j..0 on one inverse of its pivot.
 
     With the entries' precisions `precs` (a truncated forward pass), every
     order read must lie below its entry's precision, or it raises
@@ -517,15 +494,15 @@ def _lowest_orders(rows, pivot_cols, pivots, precs=None):
     head = [None] * rank
     for i in range(rank - 1, -1, -1):
         row = rows[i]
-        low = pivots[i][0]
-        inv = _inverse(pivots[i], top)
-        later = [(k, _orders(row[pivot_cols[k]], low, inv, 0, top))
-                 for k in range(i + 1, rank) if row[pivot_cols[k]]]
+        cols = [k for k in range(i + 1, rank) if row[pivot_cols[k]]]
+        got = grid_expand(pivots[i],
+                          [(row[pivot_cols[k]], 0, top) for k in cols]
+                          + [(row[j], -depths[j], 0) for j in others])
+        later = list(zip(cols, got))
         out = [zero] * width
         out[pivot_cols[i]] = one
-        for j in others:
+        for j, acc in zip(others, got[len(cols):]):
             depth = depths[j]
-            acc = _orders(row[j], low, inv, -depth, 0)
             for k, a in later:
                 x = head[k][j]
                 for e in range(depth + 1):

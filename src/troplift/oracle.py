@@ -16,7 +16,7 @@ procedure and never sits on its code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from troplift.linalg import Matrix, kernel_basis
@@ -106,9 +106,8 @@ def member_oracle(inst, v, max_cols=MAX_ORACLE_COLUMNS):
     if len(coords) != inst.n:
         raise ValueError("point length does not match instance")
     kept = [j for j, c in enumerate(coords) if c != INF]
-    rows = [[row[j] for j in kept] + [-c]
-            for row, c in zip(inst.matrix, inst.rhs)]
-    matrix = Matrix.from_rows(rows)
+    matrix = homogenize(replace(inst, matrix=tuple(
+        tuple(row[j] for j in kept) for row in inst.matrix)))
     w = [Fraction(coords[j]) for j in kept] + [Fraction(0)]
     circuits = minimal_support_vectors(matrix, max_cols=max_cols)
     for circ in circuits:

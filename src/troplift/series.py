@@ -7,11 +7,13 @@ to any order, which is all the series machinery the lifting algorithm
 needs while staying finitely representable.
 
 A Laurent polynomial is one dense ascending list of integer coefficients,
-which the kernels (product, gcd, exact division, expansion) read directly;
+which the kernels (product, gcd, exact division) read directly;
 `troplift.lift.MAX_GRID_SPAN` bounds its length, the exponent span.  The
 series elimination of `troplift.linalg` runs on the same lists, all on
 one grid, without building polynomial objects (`grid_mul`, `grid_sub`,
-`grid_divexact`).
+`grid_divexact`).  Series expansion has one routine, `grid_expand`, on
+those lists: `PuiseuxFraction.series_coefficients` and the orders <= 0
+of `troplift.linalg`'s reduced entries both read it.
 
 Large products and exact quotients use Kronecker substitution
 (Schönhage 1982): a list is evaluated at t = 2**(8*nb) through bytes and
@@ -52,7 +54,6 @@ __all__ = [
     "regrid",
     "laurent_gcd",
     "laurent_divexact",
-    "shared_expansions",
 ]
 
 
@@ -780,49 +781,42 @@ def grid_divexact(x, y, prec=None):
     return _cut(low, 1, _quotient_digits(r, d, n), prec)
 
 
-def shared_expansions(nums, den, upto):
-    """Expansions about t=0 of num/den, for each num, through order `upto`.
+def grid_expand(den, windows):
+    """Coefficients of x/den at grid orders lo..hi, for each (x, lo, hi).
 
-    One truncated expansion of 1/den serves every numerator: the
-    coefficient of t**e in num/den is the sum, over the terms c*t**a of
-    num, of c times the coefficient of t**(e-a) in 1/den.  Each result
-    maps exponent -> coefficient, zeros omitted, on the common grid of
-    num and den.  `den` must be nonzero; num/den need not be reduced.
+    `den` is a nonzero triple and each x a triple or None, all on one
+    grid t^(1/q); order e is the coefficient of t^(e/q) in the expansion
+    of x/den about t=0.  One truncated inverse of den's list serves every
+    window, through order need, the highest a window reads of it.  Its
+    coefficient e_j carries at most d0**(j+1) in its denominator, d0 the
+    list's first slot, so inv[j] = d0**(need+1) * e_j is an integer and
+    each order takes one exact `//`.  A monomial den needs one term.
+    Returns one list of hi - lo + 1 Fractions per window.
     """
-    upto = Fraction(upto)
-    q = math.lcm(den.q, *(x.q for x in nums))
-    lo, dgrid = den._on_grid(q)
-    top = math.floor(upto * q) + lo  # highest numerator key that can count
-    grids = [x._on_grid(q) for x in nums]
-    need = max((top - low for low, g in grids if g), default=-1)
-    if need < 0:
-        return [{} for _ in nums]
-    if len(dgrid) == 1:
-        need = 0  # the inverse of a monomial is one term
-    # inverse series of the primitive den/t**lo, scaled by d0**(need+1)
-    # so every coefficient is an integer: inv[j] = d0**(need+1) * e_j,
-    # where e_j carries at most d0**(j+1) in its denominator
-    d = dgrid[:need + 1]
+    dlow, dc, d = den
+    need = max([0] + [hi - x[0] + dlow for x, _, hi in windows if x])
+    if len(d) == 1:
+        need = 0
+    d = d[:need + 1]
     d0 = d[0]
     inv = [d0 ** need]
     for j in range(1, need + 1):
         inv.append(-sum(d[i] * inv[j - i]
                         for i in range(1, min(j, len(d) - 1) + 1) if d[i])
                    // d0)
-    scale = den.content * d0 ** (need + 1)
+    scale = dc * d0 ** (need + 1)
     out = []
-    for x, (low, g) in zip(nums, grids):
-        # acc[k] is the coefficient of t**((low - lo + k)/q)
-        reach = top - low
-        acc = [0] * (reach + 1)
-        for i, c in enumerate(g[:reach + 1]):
-            if c:
-                for j in range(min(need, reach - i) + 1):
-                    if inv[j]:
-                        acc[i + j] += c * inv[j]
-        factor = x.content / scale
-        out.append({Fraction(low - lo + k, q): factor * s
-                    for k, s in enumerate(acc) if s})
+    for x, lo, hi in windows:
+        if x is None:
+            out.append([Fraction(0)] * (hi - lo + 1))
+            continue
+        low, c, a = x
+        shift = low - dlow
+        out.append([Fraction(c * sum(a[i] * inv[k - i]
+                                     for i in range(max(0, k - need),
+                                                    min(k, len(a) - 1) + 1)),
+                              scale)
+                     for k in range(lo - shift, hi - shift + 1)])
     return out
 
 
@@ -1016,7 +1010,16 @@ class PuiseuxFraction:
         Returns {exponent: coefficient}, zeros omitted; exponents lie on
         the common grid of num and den.
         """
-        return shared_expansions((self.num,), self.den, upto)[0]
+        q = math.lcm(self.num.q, self.den.q)
+        s = math.lcm(self.num.content.denominator,
+                     self.den.content.denominator)
+        num = to_grid(self.num, q, s)
+        if num is None:
+            return {}
+        den = to_grid(self.den, q, s)
+        lo, hi = num[0] - den[0], math.floor(Fraction(upto) * q)
+        coeffs = grid_expand(den, [(num, lo, hi)])[0]
+        return {Fraction(e, q): c for e, c in enumerate(coeffs, lo) if c}
 
     def coefficient_at(self, e):
         """Exact coefficient of t**e in the expansion about t=0."""
@@ -1024,11 +1027,6 @@ class PuiseuxFraction:
         if self.num.is_zero or e < self.valuation():
             return Fraction(0)
         return self.series_coefficients(e).get(e, Fraction(0))
-
-    def truncation(self, upto):
-        """The partial sum of the expansion through order `upto`, as an element."""
-        return PuiseuxFraction(
-            LaurentPolynomial.from_terms(self.series_coefficients(upto)))
 
     def __eq__(self, other):
         other = _as_fraction(other)

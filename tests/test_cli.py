@@ -502,7 +502,7 @@ class TestCliContract:
                 for k in report["kernels"]] == [
             (op, terms, bits)
             for op in ("LaurentPolynomial.__mul__", "laurent_divexact",
-                       "laurent_gcd", "shared_expansions")
+                       "laurent_gcd", "grid_expand")
             for terms, bits in ((40, 26), (121, 144), (254, 363))]
         assert all(k["ms"] > 0 for k in report["kernels"])
 

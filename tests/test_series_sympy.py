@@ -5,23 +5,35 @@ written as s**k * F(s), with s = t^(1/Q) for Q the lcm of a pair's grids
 and F a sympy polynomial with a nonzero constant term.  Every result of
 `+`, `*`, `laurent_gcd`, `laurent_divexact` and the reduction of
 `PuiseuxFraction(a, b)` is compared with sympy's polynomial arithmetic,
-`gcd` and `div`.  sympy is a test-only dependency.  One seed draws wide
-operands, whose products' coefficients pass KRONECKER_DIVIDE_MAX_BITS.
+`gcd` and `div`, and every expansion `series_coefficients` and
+`grid_expand` give with sympy's power series of F_a/F_b
+(`sympy.polys.ring_series`).  sympy is a test-only dependency.  One seed
+draws wide operands, whose products' coefficients pass
+KRONECKER_DIVIDE_MAX_BITS.
 """
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from sympy.polys.ring_series import (  # noqa: E402
+    rs_mul,
+    rs_series_inversion,
+)
+from sympy.polys.rings import ring  # noqa: E402
+
 from troplift.series import (  # noqa: E402
     LaurentPolynomial,
     PuiseuxFraction,
+    grid_expand,
     laurent_divexact,
     laurent_gcd,
+    to_grid,
 )
 
 S = sympy.Symbol("s")
@@ -103,3 +115,39 @@ def test_kernels_match_sympy(seed, count, wide):
         assert fd.eval(0) == 1 and fd.monic() == want_den.monic()
         assert fn * want_den == want_num * fd
         assert sympy.gcd(fn, fd).degree() == 0
+
+
+def sympy_expansion(fa, fb, count):
+    """Coefficients of s^0..s^(count-1) in fa/fb, fb(0) != 0."""
+    r, s = ring("s", sympy.QQ)
+    a, b = r(fa.as_expr()), r(fb.as_expr())
+    series = rs_mul(a, rs_series_inversion(b, s, count), s, count)
+    return [F(int(c.numerator), int(c.denominator))
+            for c in (series.coeff(s ** k) for k in range(count))]
+
+
+@pytest.mark.parametrize("seed", [101, 202, 303])
+def test_expansions_match_sympy(seed):
+    seen = Counter()
+    for a, b in pairs(seed, 40, False):
+        grid = math.lcm(a.q, b.q)
+        (ka, fa), (kb, fb) = split(a, grid), split(b, grid)
+        want = sympy_expansion(fa, fb, 9)
+        # through 8 grid steps past the valuation, and through a step below
+        for depth in (8, -1):
+            upto = F(ka - kb + depth, grid)
+            assert PuiseuxFraction(a, b).series_coefficients(upto) == {
+                F(ka - kb + k, grid): c
+                for k, c in enumerate(want[:depth + 1]) if c}
+        # one inverse of b for two windows: a/b from two steps below its
+        # valuation, b/b = 1
+        scale = math.lcm(a.content.denominator, b.content.denominator)
+        ga, gb = to_grid(a, grid, scale), to_grid(b, grid, scale)
+        lo = ka - kb - 2
+        assert grid_expand(gb, [(ga, lo, ka - kb + 8), (gb, 0, 3)]) == [
+            [0, 0] + want, [1, 0, 0, 0]]
+        seen["monomial_den"] += fb.is_monomial
+        seen["negative"] += ka < kb
+        seen["grid %d" % grid] += 1
+    assert seen["monomial_den"] and seen["negative"]
+    assert seen["grid 2"] and seen["grid 3"]
