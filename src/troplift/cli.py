@@ -21,6 +21,7 @@ from fractions import Fraction
 from troplift import __version__
 from troplift.formats import (
     FormatError,
+    _parse_ratio,
     loads,
     parse_instance,
     parse_point,
@@ -72,11 +73,7 @@ def _load_problem(args):
 def _cmd_check(args):
     order = None
     if args.expand is not None:
-        try:
-            order = Fraction(args.expand)
-        except (ValueError, ZeroDivisionError):
-            raise FormatError("not a rational order: %r" % args.expand,
-                              "--expand")
+        order = Fraction(*_parse_ratio(args.expand, "--expand"))
     inst, point, parse_ms = _load_problem(args)
     t0 = time.perf_counter()
     try:
@@ -349,7 +346,8 @@ def build_parser():
         p = sub.add_parser(name, help="decide membership and emit a witness")
         add_problem_flags(p)
         p.add_argument("--expand", metavar="E", default=None,
-                       help="also render witness expansions through order E")
+                       help="also render witness expansions through order E, "
+                            "an exact rational such as 3 or 7/2")
         p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("verify", help="check a witness file exactly")

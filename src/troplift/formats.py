@@ -271,5 +271,6 @@ def render_series(x, upto):
 def loads(text, what):
     try:
         return json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an over-long integer
+    # a JSONDecodeError, an over-long integer, or lists nested too deep
+    except (ValueError, RecursionError) as exc:
         raise FormatError("invalid JSON (%s)" % exc, what) from exc

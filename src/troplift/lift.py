@@ -6,14 +6,14 @@ has coordinatewise valuation v, and produces such an x when the answer is
 yes.  The pipeline:
 
 1. delete columns with v_j = INF, pinning those coordinates to 0;
-2. rescale exponents to an integer grid; a solution coordinate is a sum
-   of series supported on single exponent residues mod 1, and an
-   integer-exponent matrix maps each residue slice independently, so the
-   system splits into one independent subsystem per residue of v (the
-   integer residue keeps the right-hand side, the others must cancel to
-   zero); every subsystem keeps all columns, requiring valuation exactly
-   0 on its own congruence class after column scaling and a strict
-   valuation lower bound on the rest;
+2. count exponents in steps of the instance's grid t^(1/Q); a solution
+   coordinate is a sum of series supported on single residues mod 1 of
+   those step counts, and a matrix on t^(1/Q) maps each residue slice
+   independently, so the system splits into one independent subsystem
+   per residue of Q*v (the integer residue keeps the right-hand side,
+   the others must cancel to zero); every subsystem keeps all columns,
+   requiring valuation exactly 0 on its own congruence class after
+   column scaling and a strict valuation lower bound on the rest;
 3. per subsystem, run the forward pass of a fraction-free elimination,
    pivoting by least valuation, so every reduced free-column entry has
    valuation >= 0, and then a back pass over truncated series that keeps
@@ -55,7 +55,7 @@ from itertools import chain
 from operator import itemgetter
 
 from troplift.linalg import LiftInternalError, LinearForm, Matrix, rref_solve
-from troplift.series import INF, LaurentPolynomial, PuiseuxFraction
+from troplift.series import INF, LaurentPolynomial, PuiseuxFraction, regrid
 
 __all__ = [
     "Instance",
@@ -83,9 +83,10 @@ STAGE_FAMILY_L = "FamilyLVanishes"
 # numerator or denominator of an entry, or a finite coordinate of the
 # target point, may reach.  Dense coefficient lists are sized by exponent
 # spans, which this keeps within a small multiple of the limit, the
-# point's column scaling included.  It also caps the regrid: a
-# nonconstant entry on grid q has a nonzero exponent, at least Q/q steps
-# from 0.
+# point's column scaling included.  It also caps how far a column shift
+# spreads an entry: shifted by t^(r/Q), an entry on grid q is put on
+# t^(1/Q), and a nonconstant one has a nonzero exponent, at least Q/q
+# steps from 0, so its list stays within 2*MAX_GRID_SPAN + 1 slots.
 MAX_GRID_SPAN = 10_000
 
 
@@ -195,10 +196,10 @@ def matvec(inst, x):
 
 
 def regrid_instance(inst, n):
-    """Substitute t -> t**n in every entry."""
+    """Substitute t -> t**n, n a positive integer, in every entry."""
     return Instance(
-        tuple(tuple(x.substitute_power(n) for x in row) for row in inst.matrix),
-        tuple(x.substitute_power(n) for x in inst.rhs),
+        tuple(tuple(regrid(x, n) for x in row) for row in inst.matrix),
+        tuple(regrid(x, n) for x in inst.rhs),
     )
 
 
@@ -287,26 +288,26 @@ def strip_infinite(inst, v):
     return StripResult(Instance(matrix, inst.rhs), point, kept, fixed)
 
 
-# -- stage 2: integer grid and congruence classes ----------------------------
+# -- stage 2: congruence classes on the instance grid ------------------------
 
 @dataclass(frozen=True)
 class Subsystem:
-    """The residue-`residue` slice of the regridded system.
+    """The residue-`residue` slice of the system, on its grid t^(1/Q).
 
-    A solution coordinate is a sum of series supported on single exponent
-    residues mod 1, and an integer-exponent matrix maps each residue
-    slice independently, so the system splits into one subsystem per
-    residue (the integer residue keeps the right-hand side, all others
-    must cancel to zero).  Every subsystem sees every column: the columns
-    of its own congruence class (`exact[j]` true, pairwise disjoint
-    across subsystems) carry the class's exact target valuation,
-    normalized to 0 here, while foreign columns may contribute anything
-    of valuation strictly above their own target, normalized to a
-    valuation >= 0 requirement.
+    Residues are taken in grid steps: a solution coordinate is a sum of
+    series supported on single residues of Q*exponent mod 1, and a
+    matrix with exponents on t^(1/Q) maps each residue slice
+    independently, so the system splits into one subsystem per residue
+    (the integer residue keeps the right-hand side, all others must
+    cancel to zero).  Every subsystem sees every column: the columns of
+    its own congruence class (`exact[j]` true, pairwise disjoint across
+    subsystems) carry the class's exact target valuation, normalized to
+    0 here, while foreign columns may contribute anything of valuation
+    strictly above their own target, normalized to a valuation >= 0
+    requirement.
 
-    `shifts[j]` is the total exponent shift: the witness coordinate of
-    the regridded system gains t**shifts[j] times this subsystem's local
-    coordinate j.
+    `shifts[j]` is the total exponent shift: the witness coordinate j
+    gains t**shifts[j] times this subsystem's local coordinate j.
     """
 
     residue: Fraction
@@ -322,29 +323,28 @@ class Subsystem:
 
 @dataclass(frozen=True)
 class Partition:
-    scale: int
     subsystems: tuple
     rhs_class_missing: bool
 
 
 def normalize_and_partition(inst, v):
-    """Regrid to integer exponents and slice the system by valuation residue.
+    """Slice the system by valuation residue on its grid t^(1/Q).
 
-    Returns the grid factor and one subsystem per residue appearing in
-    the target point (plus the integer residue whenever the right-hand
-    side is nonzero, since that is the only slice that can absorb it).
-    The degenerate no-columns case cannot absorb a nonzero right-hand
-    side at all, which the flag reports.
+    Returns one subsystem per residue of the point in steps of t^(1/Q)
+    (plus the integer residue whenever the right-hand side is nonzero,
+    since that is the only slice that can absorb it).  Column j is
+    shifted by t^(r_j/Q), r_j the whole steps between its target and
+    the slice's residue.  The degenerate no-columns case cannot absorb a
+    nonzero right-hand side at all, which the flag reports.
     """
     v = as_point(v)
     if any(c == INF for c in v):
         raise ValueError("partition requires a finite point")
-    s = inst.grid_den
-    scaled = regrid_instance(inst, s) if s > 1 else inst
-    vs = [c * s for c in v]
+    q = inst.grid_den
+    vs = [c * q for c in v]
 
     residues = {c - math.floor(c) for c in vs}
-    rhs_nonzero = any(x for x in scaled.rhs)
+    rhs_nonzero = any(x for x in inst.rhs)
     if rhs_nonzero:
         residues.add(Fraction(0))
     rhs_class_missing = rhs_nonzero and not vs
@@ -352,24 +352,17 @@ def normalize_and_partition(inst, v):
     zero = PuiseuxFraction.zero()
     subsystems = []
     for residue in sorted(residues):
-        shifts = []
-        exact = []
-        for c in vs:
-            delta = c - residue
-            if delta.denominator == 1:
-                shifts.append(delta)
-                exact.append(True)
-            else:
-                shifts.append(Fraction(math.floor(delta) + 1))
-                exact.append(False)
+        deltas = [c - residue for c in vs]
+        steps = [math.ceil(d) for d in deltas]
+        shifts = [Fraction(r, q) for r in steps]
         matrix = Matrix.from_rows(
-            [[scaled.matrix[i][j].shift(shifts[j]) for j in range(len(vs))]
-             for i in range(scaled.m)])
-        rhs = scaled.rhs if residue == 0 else tuple([zero] * scaled.m)
-        subsystems.append(Subsystem(residue=residue, matrix=matrix, rhs=rhs,
-                                    shifts=tuple(r + residue for r in shifts),
-                                    exact=tuple(exact)))
-    return Partition(scale=s, subsystems=tuple(subsystems),
+            [[x.shift(s) for x, s in zip(row, shifts)] for row in inst.matrix])
+        rhs = inst.rhs if residue == 0 else tuple([zero] * inst.m)
+        subsystems.append(Subsystem(
+            residue=residue, matrix=matrix, rhs=rhs,
+            shifts=tuple((r + residue) / q for r in steps),
+            exact=tuple(d.denominator == 1 for d in deltas)))
+    return Partition(subsystems=tuple(subsystems),
                      rhs_class_missing=rhs_class_missing)
 
 
@@ -508,7 +501,7 @@ def reconstruct_witness(sub, red, layout, values):
     Free coordinates are the swept constants (1 or 0 where a column has
     no unknown); the pivot coordinates are B^-1 (b - A_free*y), one exact
     column (`RrefResult.pivot_values`).  Returns {column: contribution}
-    in the regridded frame (shifts undone); the full witness coordinate
+    with the shifts undone; the full witness coordinate of a kept column
     is the sum of contributions over all subsystems.
     """
     locals_ = {}
@@ -533,8 +526,7 @@ def decide(inst, v):
         return NotMember(STAGE_EMPTY_CLASS,
                          "nonzero right-hand side but every unknown is "
                          "pinned to zero")
-    stripped_n = stripped.instance.n
-    witness_scaled = [PuiseuxFraction.zero()] * stripped_n
+    witness = [PuiseuxFraction.zero()] * stripped.instance.n
     sweeps = []
     for sub in part.subsystems:
         red = rref_solve(sub.matrix, sub.rhs)
@@ -553,19 +545,10 @@ def decide(inst, v):
         contributions = reconstruct_witness(sub, red, layout, outcome.values)
         for col, value in contributions.items():
             if value:
-                witness_scaled[col] = witness_scaled[col] + value
+                witness[col] = witness[col] + value
 
-    down = Fraction(1, part.scale)
-    witness = []
-    pos = 0
-    for j in range(inst.n):
-        if j in stripped.fixed:
-            witness.append(PuiseuxFraction.zero())
-        else:
-            coord = witness_scaled[pos]
-            witness.append(coord.substitute_power(down)
-                           if part.scale > 1 else coord)
-            pos += 1
+    for j in sorted(stripped.fixed):
+        witness.insert(j, stripped.fixed[j])
     witness = tuple(witness)
     if not verify_witness(inst, v, witness):
         raise LiftInternalError("constructed witness failed verification")

@@ -294,10 +294,12 @@ class LaurentPolynomial:
             raise ValueError("substitution power must be positive")
         if self.is_zero or n == 1:
             return self
-        # exponent k/q becomes k*num/(q*den): spread the slots num apart
-        q = self.q * n.denominator
-        low, out = self._on_grid(self.q * n.numerator)
-        return LaurentPolynomial._from_primitive(q, low, out, self.content)
+        # exponent k/q becomes k*(a/g)/((q/g)*b) for n = a/b and
+        # g = gcd(q, a): spread the slots a/g apart on grid (q/g)*b
+        g = math.gcd(self.q, n.numerator)
+        low, out = self._on_grid(self.q * (n.numerator // g))
+        return LaurentPolynomial._from_primitive(
+            self.q // g * n.denominator, low, out, self.content)
 
     def __eq__(self, other):
         other = _as_laurent(other)

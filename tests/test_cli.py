@@ -405,7 +405,8 @@ class TestCliContract:
         assert "input error: witness.x[0]:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("order", ["3000000", "10000000000000",
-                                       "-10001", "20001/2"])
+                                       "-10001", "20001/2", "1e-20000000",
+                                       "1e99999999"])
     def test_expand_order_budget_exits_2_fast(self, tmp_path, capsys, order):
         # the grid is that of the instance and the point: here t^(1/2)
         inst = tmp_path / "inst.json"
@@ -539,6 +540,41 @@ class TestCliContract:
         assert main(["check", "-i", str(inst), "-p", str(p)]) == 2
         assert time.perf_counter() - t0 < 1.0
         assert "input error: %s:" % location in capsys.readouterr().err
+
+    def test_fine_grid_entry_near_zero(self, tmp_path, capsys):
+        # 1 + t^(1/10^20) is one step of its grid from 0, inside every
+        # budget, so no list built for it may grow with the grid's 10^20
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({
+            "A": [[{"q": 10 ** 20, "num": [[0, "1"], [1, "1"]]},
+                   {"num": [[0, "1"]]}]],
+            "b": [{"num": [[0, "1"]]}]}))
+        p = tmp_path / "p.json"
+        p.write_text('{"v": ["0", "0"]}')
+        t0 = time.perf_counter()
+        assert main(["check", "-i", str(inst), "-p", str(p)]) == 0
+        assert time.perf_counter() - t0 < 1.0
+        result = tmp_path / "result.json"
+        result.write_text(capsys.readouterr().out)
+        assert main(["verify", "-i", str(inst), "-p", str(p),
+                     "-w", str(result)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"verified": True}
+
+    @pytest.mark.parametrize("bad", ["instance", "point", "witness"])
+    def test_deeply_nested_json_exits_2(self, files, capsys, bad):
+        tmp, inst, point = files
+        paths = {"instance": inst, "point": point(["0", "0"]),
+                 "witness": str(tmp / "witness.json")}
+        (tmp / "witness.json").write_text('{"x": ["1", "1"]}')
+        nested = tmp / "nested.json"
+        nested.write_text("[" * 200_000 + "]" * 200_000)
+        paths[bad] = str(nested)
+        t0 = time.perf_counter()
+        assert main(["verify", "-i", paths["instance"], "-p", paths["point"],
+                     "-w", paths["witness"]]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert ("input error: %s: invalid JSON" % bad
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command, bad", [
         ("check", "instance"), ("check", "point"), ("verify", "instance"),

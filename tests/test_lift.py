@@ -150,12 +150,19 @@ class TestNormalizeAndPartition:
                                   px({F(1, 2): 1}))
         assert member_oracle(inst, v)
 
-    def test_grid_scaling_regrids_entries(self):
-        inst = Instance.from_rows([[px({F(1, 2): 1})]], [ONE])
-        part = normalize_and_partition(inst, (0,))
-        assert part.scale == 2
-        sub = part.subsystems[0]
-        assert sub.matrix[0][0] == T
+    def test_slices_stay_on_the_instance_grid(self):
+        # residues are counted in steps of t^(1/2); the slices keep the
+        # entry t^(1/2), and column shifts are on that grid too
+        inst = Instance.from_rows([[px({F(1, 2): 1}), ONE]], [ONE])
+        part = normalize_and_partition(inst, (F(-1, 2), F(1, 4)))
+        assert [s.residue for s in part.subsystems] == [F(0), F(1, 2)]
+        whole, half = part.subsystems
+        assert whole.matrix.rows == ((ONE, px({F(1, 2): 1})),)
+        assert whole.shifts == (F(-1, 2), F(1, 2))
+        assert whole.exact == (True, False)
+        assert half.matrix.rows == ((ONE, ONE),)
+        assert half.shifts == (F(-1, 4), F(1, 4))
+        assert half.exact == (False, True)
 
 
 class TestAttachUnknowns:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 
@@ -150,6 +151,13 @@ class TestMonomialScaleAndRegrid:
     def test_regrid_scales_valuation(self):
         x = poly({F(-1, 3): 1})
         assert valuation(regrid(x, 3)) == -1
+
+    def test_regrid_reduces_before_it_spreads(self):
+        # t -> t^Q on the grid t^(1/Q) only coarsens it: no Q-slot list
+        q = 10 ** 20
+        t0 = time.perf_counter()
+        assert regrid(poly({F(1, q): 1, 0: 1}), q) == poly({0: 1, 1: 1})
+        assert time.perf_counter() - t0 < 1.0
 
     def test_regrid_rejects_bad_factor(self):
         with pytest.raises(ValueError):
