@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from troplift.lift import Instance
+from troplift.lift import MAX_GRID_SPAN, Instance
 from troplift.series import INF, LaurentPolynomial, PuiseuxFraction
 
 __all__ = ["GenConfig", "gen_random", "gen_member", "gen_point", "perturb_point"]
@@ -18,7 +18,9 @@ class GenConfig:
 
     Exponents are drawn as k/grid_den with k an integer in
     [exp_lo, exp_hi]; coefficients are fractions with numerator and
-    denominator bounded by coeff_bound.
+    denominator bounded by coeff_bound.  A planted right-hand side
+    b = A*x reaches twice as far as the exponents, so the range must keep
+    2*max(|exp_lo|, |exp_hi|) within MAX_GRID_SPAN steps of t^(1/grid_den).
     """
 
     seed: int
@@ -35,6 +37,11 @@ class GenConfig:
             raise ValueError("need 1 <= m <= n")
         if self.exp_lo > self.exp_hi:
             raise ValueError("empty exponent range")
+        reach = 2 * max(abs(self.exp_lo), abs(self.exp_hi))
+        if reach > MAX_GRID_SPAN:
+            raise ValueError("exponents %d..%d reach %d grid steps in b = A*x; "
+                             "the limit is %d" % (self.exp_lo, self.exp_hi,
+                                                  reach, MAX_GRID_SPAN))
         if self.grid_den < 1 or self.coeff_bound < 1 or self.terms_per_entry < 0:
             raise ValueError("bounds must be positive")
 

@@ -36,8 +36,8 @@ yes.  The pipeline:
    all their zero sets unless one of them is the zero form;
 5. with the free coordinates y fixed, solve B x = b - A_free*y exactly
    for the pivot coordinates, B the pivot block: one exact fraction-free
-   pass over [B | b - A_free*y], pivoting by entry size (reusing the
-   forward rows when the forward pass was exact), and one
+   pass over [B | b - A_free*y], built from the input rows whichever way
+   the forward pass ran and pivoting by entry size, and one
    back-substituted column; then undo the scalings, sum the slices, and
    re-verify the witness before returning it.
 
@@ -113,6 +113,21 @@ def _enforce_budget(reaches, q):
     steps, fmt, args = max(reaches, key=itemgetter(0), default=(0, "", ()))
     if steps > MAX_GRID_SPAN:
         raise OversizedEntry(fmt % args, steps, q)
+
+
+def _charge_coordinates(inst, coords, location):
+    """Charge (j, g, far) triples, coordinate j on t^(1/g) within far of 0.
+
+    Coordinate j is charged the reach of the instance and of coordinates
+    0..j on the grid their g refine; past MAX_GRID_SPAN steps it raises
+    OversizedEntry at `location % j`.
+    """
+    q, reach = inst.grid_den, inst.grid_reach
+    grid, far, steps = q, 0, []
+    for j, g, r in coords:
+        grid, far = math.lcm(grid, g), max(far, r)
+        steps.append((max(reach * (grid // q), far * grid), location, (j,)))
+    _enforce_budget(steps, grid)
 
 
 def _as_scalar(x):
@@ -264,21 +279,15 @@ class StripResult:
 def strip_infinite(inst, v):
     """Delete columns whose target valuation is INF, pinning them to x_j = 0.
 
-    Coordinate j is charged the reach of the instance and of coordinates
-    0..j on the grid their denominators refine; past MAX_GRID_SPAN steps
-    it raises OversizedEntry.
+    Finite coordinates are charged, on the grids their denominators give,
+    by `_charge_coordinates`, which raises OversizedEntry past the budget.
     """
     v = as_point(v)
     if len(v) != inst.n:
         raise ValueError("point length %d does not match %d columns"
                          % (len(v), inst.n))
-    q, reach = inst.grid_den, inst.grid_reach
-    grid, far, steps = q, 0, []
-    for j, c in enumerate(v):
-        if c != INF:
-            grid, far = math.lcm(grid, c.denominator), max(far, abs(c))
-            steps.append((max(reach * (grid // q), far * grid), "v[%d]", (j,)))
-    _enforce_budget(steps, grid)
+    _charge_coordinates(inst, ((j, c.denominator, abs(c))
+                               for j, c in enumerate(v) if c != INF), "v[%d]")
     kept = tuple(j for j, c in enumerate(v) if c != INF)
     if len(kept) == inst.n:
         return StripResult(inst, v, kept, {})

@@ -39,12 +39,14 @@ solutions to systems of linear equations", EUROSAM 1979).  Where the
 kept orders do not settle a pivot or a read, the pass reruns with more.
 Once the free coordinates are fixed, one exact fraction-free pass over
 [B | c], the pivot block and one column, gives the pivot coordinates
-(`RrefResult.pivot_values`).  x = B^-1 c and its Cramer minors are the
-same up to sign in any pivot order, so that pass picks its own pivots by
-the third key, entry size: fewest slots, then fewest coefficient bits,
-so each step multiplies by the smallest entry left.  N and D, and the
-reduced entries N/D, are built by the exact passes on first read only,
-from the grid rows the `RrefResult` keeps.
+(`RrefResult.pivot_values`), whichever way the forward pass ran.
+x = B^-1 c and its Cramer minors are the same up to sign in any pivot
+order, so that pass picks its own pivots by the third key, entry size:
+fewest slots, then fewest coefficient bits, so each step multiplies by
+the smallest entry left.  N and D, and the reduced entries N/D, are
+built by the exact passes on first read only.  Both the witness and
+these start from the input rows in pivot order, the grid rows the
+`RrefResult` keeps.
 """
 
 from __future__ import annotations
@@ -126,23 +128,21 @@ class RrefResult:
     valuation >= 0; a right-hand side's reaches its lowest valuation.
 
     `head` and the pivot sequence come from one forward pass, truncated
-    on systems past the crossover (see `rref_solve`).  The last four
-    fields hold the system on its common grid t^(1/q): after a truncated
-    solve, `inputs`, the input rows as grid triples in pivot order; after
-    an exact one, `forward`, the exact forward rows U on that order and
-    the pivots D_i = U[i][pivot_cols[i]]; and `scales`, which divide row
-    i's triples back to the input's scale (after the full back pass, a
-    pivot row carries S, the product of the pivot rows' own scales, and a
-    row past the rank S times its own).
+    on systems past the crossover (see `rref_solve`).  The last three
+    fields hold the system on its common grid t^(1/q): `inputs`, the
+    input rows as grid triples in pivot order, and `scales`, which divide
+    row i's triples back to the input's scale (after the full back pass,
+    a pivot row carries S, the product of the pivot rows' own scales, and
+    a row past the rank S times its own).
 
-    `pivot_values` and the attributes below are exact whichever pass ran.
-    `num` (the eliminated Laurent numerator rows N, right-hand side last),
-    `den` (the common pivot D), and `matrix` and `rhs` (the reduced entries
-    as series scalars) come from the exact forward pass, run on the pivot
-    sequence from `inputs` if `forward` is unset, and the full back pass,
-    on first read.  Rows past `rank` are zero but for their right-hand
-    sides, which `num` keeps undivided; the solution set of (matrix, rhs)
-    equals that of the input system.
+    `pivot_values` and the attributes below are exact whichever pass ran,
+    and each starts from `inputs`.  `num` (the eliminated Laurent
+    numerator rows N, right-hand side last), `den` (the common pivot D),
+    and `matrix` and `rhs` (the reduced entries as series scalars) come
+    from the exact forward pass on the pivot sequence and the full back
+    pass, on first read.  Rows past `rank` are zero but for their
+    right-hand sides, which `num` keeps undivided; the solution set of
+    (matrix, rhs) equals that of the input system.
     """
 
     pivot_cols: tuple
@@ -153,22 +153,19 @@ class RrefResult:
     q: int = field(compare=False, repr=False)
     scales: list = field(compare=False, repr=False)
     inputs: list = field(compare=False, repr=False)
-    forward: tuple = field(compare=False, repr=False)
 
     def pivot_values(self, values):
         """Pivot coordinates B^-1 (b - A_free*y), y = {free column: rational}.
 
-        One fraction-free column: with Y the lcm of y's denominators, take
-        c = Y*b - sum_f (Y*y_f)*A_f on each pivot row and let w be its
-        forward column, w_i = Y*U[i][rhs] - sum_f (Y*y_f)*U[i][f] (a minor
-        is linear in each column).  Back-substituting w gives N_w =
-        Y*(N_rhs - sum_f y_f*N_f), and pivot coordinate i is N_w[i] / (Y*D).
-        After an exact solve w comes from the forward rows U.  After a
-        truncated one, an exact fraction-free pass over [B | c], B the
-        pivot rows' input entries in the pivot columns, pivots by entry
-        size (`_size_key`): x = B^-1 c whatever the order, and the back
-        column's entry for B's column k is pivot row k's coordinate.  B
-        is nonsingular, since the truncated pass found a nonzero pivot in
+        One exact fraction-free pass over [B | c], whichever way the
+        forward pass ran: B holds the pivot rows' input entries in the
+        pivot columns and, with Y the lcm of y's denominators, c =
+        Y*b - sum_f (Y*y_f)*A_f on each pivot row.  It pivots by entry size
+        (`_size_key`), since x = B^-1 c whatever the order, and one
+        back-substituted column gives x: its entry for B's column k over
+        Y times the pass's last pivot is pivot row k's coordinate, equal
+        to (N_rhs - sum_f y_f*N_f)[k] / D in terms of `num` and `den`.  B
+        is nonsingular, since the forward pass found a nonzero pivot in
         each of its rows; a pass ending below full rank raises
         LiftInternalError.  Returns one series scalar per pivot row.
         """
@@ -181,37 +178,26 @@ class RrefResult:
                 acc = grid_sub(acc, _grid_scale(row[f], int(y * scale)))
             return acc
 
-        if self.forward is not None:
-            rows, pivots = self.forward
-            cols = self.pivot_cols
-            slots = range(self.rank)
-            w = [combined(row) for row in rows[:self.rank]]
-        else:
-            rows = [[row[c] for c in self.pivot_cols] + [combined(row)]
-                    for row in self.inputs[:self.rank]]
-            cols, pivots = _forward(rows, self.rank, _size_key)[:2]
-            if len(cols) < self.rank:
-                raise LiftInternalError("pivot block of rank %d has rank %d"
-                                        % (self.rank, len(cols)))
-            slots = cols
-            w = [row[-1] for row in rows]
+        rows = [[row[c] for c in self.pivot_cols] + [combined(row)]
+                for row in self.inputs[:self.rank]]
+        cols, pivots = _forward(rows, self.rank, _size_key)[:2]
+        if len(cols) < self.rank:
+            raise LiftInternalError("pivot block of rank %d has rank %d"
+                                    % (self.rank, len(cols)))
         if not pivots:
             return ()
-        column = _back_column(rows, cols, pivots, w)
+        column = _back_column(rows, cols, pivots, [row[-1] for row in rows])
         d = from_grid(pivots[-1], self.q, self.scales[0])
         s = self.scales[0] * scale
         values = [None] * self.rank
-        for k, x in zip(slots, column):
+        for k, x in zip(cols, column):
             values[k] = PuiseuxFraction(from_grid(x, self.q, s), d)
         return tuple(values)
 
     @cached_property
     def num(self):
-        if self.forward is None:
-            rows = list(self.inputs)
-            pivots = _forward(rows, plan=self.pivot_cols)[1]
-        else:
-            rows, pivots = list(self.forward[0]), self.forward[1]
+        rows = list(self.inputs)
+        pivots = _forward(rows, plan=self.pivot_cols)[1]
         _back(rows, self.pivot_cols, pivots)
         return tuple(tuple(from_grid(x, self.q, s) for x in row)
                      for row, s in zip(rows, self.scales))
@@ -564,16 +550,21 @@ def _on_grid(rows):
 
 # `rref_solve` runs its forward pass truncated on systems with at least
 # TRUNCATE_MIN_STEPS elimination steps, min(rows, columns), and at least
-# TRUNCATE_MIN_FREE more columns than rows.  The witness then needs the
-# exact pass only over [B | c], so the truncated route pays off where that
-# skips enough columns of entries long enough.  On seeded dense planted
-# systems (3-term entries; 2-core x86-64 VM, CPython 3.11), `decide` under
-# the truncated route took, as a share of the exact route's time: at
-# m = 4, 0.99-1.03 for n = 6..7 and 0.86-0.91 for n = 8..10; at m = 5,
-# 0.89-0.93 for n >= 7; at m = 6..8 and n = 2m, 0.83-0.92.  Square
-# systems took 1.25-1.29 at m = 6 and 8, one column more 1.01-1.05, two
-# 0.90-1.04.  The criterion-1 systems (m <= 4, n <= 7) stay below the
-# crossover.
+# TRUNCATE_MIN_FREE more columns than rows.  The crossover trades only the
+# verdict's forward pass: on either side the witness takes the exact pass
+# over [B | c] (`RrefResult.pivot_values`).  A truncated pass pays off
+# where it skips enough columns of entries long enough, and costs
+# bookkeeping and reruns elsewhere.  Truncating every system cost the
+# perfbench `mixed-small` workload 11% of its cases per second (median of
+# 5 alternating 12-s pairs, 990 -> 884 and slower in each pair; 2-core
+# x86-64 VM, CPython 3.11).  On seeded dense planted systems (3-term
+# entries; same VM), measured while an exact solve still took its witness
+# from its own forward rows, `decide` under the truncated route took, as a
+# share of the exact route's time: at m = 4, 0.99-1.03 for n = 6..7 and
+# 0.86-0.91 for n = 8..10; at m = 5, 0.89-0.93 for n >= 7; at m = 6..8 and
+# n = 2m, 0.83-0.92.  Square systems took 1.25-1.29 at m = 6 and 8, one
+# column more 1.01-1.05, two 0.90-1.04.  The criterion-1 systems (m <= 4,
+# n <= 7) stay below the crossover.
 TRUNCATE_MIN_STEPS = 5
 TRUNCATE_MIN_FREE = 2
 
@@ -610,9 +601,10 @@ def rref_solve(matrix, rhs):
     any minor spans, the exact pass runs instead, so the loop ends.  A
     truncated quotient is the low part of the
     exact one, so `head` is the exact pass's on the same pivot sequence.
-    Below the crossover the pass is exact.  The exact passes the witness
-    and the reduced entries need wait until `pivot_values`, `num` or a
-    reduced entry is read.  Inconsistency is reported through the
+    Below the crossover the pass is exact.  Either way the result keeps
+    the input rows in pivot order, and the exact passes the witness and
+    the reduced entries need run from them once `pivot_values`, `num` or
+    a reduced entry is read.  Inconsistency is reported through the
     `consistent` flag, never raised.
     """
     rhs = list(rhs)
@@ -631,7 +623,7 @@ def rref_solve(matrix, rhs):
             or prec > span):
         prec = None
     while True:
-        rows = grid if prec is None else list(grid)
+        rows = list(grid)
         try:
             pivot_cols, pivots, order, precs = _forward(
                 rows, n, _least_valuation_key, prec)
@@ -645,7 +637,6 @@ def rref_solve(matrix, rhs):
             step *= 2
             if prec > span:
                 prec = None
-    exact = prec is None
     s = math.prod(scales[k] for k in order[:rank])
     return RrefResult(
         pivot_cols=tuple(pivot_cols),
@@ -656,8 +647,7 @@ def rref_solve(matrix, rhs):
         q=q,
         scales=[s if i < rank else s * scales[k]
                 for i, k in enumerate(order)],
-        inputs=None if exact else [grid[k] for k in order],
-        forward=(rows, pivots) if exact else None,
+        inputs=[grid[k] for k in order],
     )
 
 

@@ -4,10 +4,12 @@ import json
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
+from troplift import cli
 from troplift.cli import main
 from troplift.formats import (
     FormatError,
@@ -468,6 +470,30 @@ class TestCliContract:
         assert main(["check", "-i", prefix + ".instance.json",
                      "-p", prefix + ".point.json"]) == 0
 
+    def test_gen_exponent_range_is_bounded(self, tmp_path, capsys,
+                                           monkeypatch):
+        # dense lists are sized by the exponent span, and b = A*x doubles
+        # it; generating at 10^9 would take about 10^9 slots, so a
+        # generator call fails the test before it allocates
+        def refuse(cfg):
+            raise AssertionError("generated from %r" % (cfg,))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "gen_random", refuse)
+            t0 = time.perf_counter()
+            assert main(["gen", "--seed", "5", "--m", "2", "--n", "4",
+                         "--exp-hi", "1000000000"]) == 2
+            assert time.perf_counter() - t0 < 1.0
+        assert "input error: gen flags:" in capsys.readouterr().err
+        # the widest admitted range gives input that `check` takes
+        prefix = str(tmp_path / "wide")
+        assert main(["gen", "--seed", "5", "--m", "2", "--n", "4",
+                     "--exp-lo", str(-MAX_GRID_SPAN // 2),
+                     "--exp-hi", str(MAX_GRID_SPAN // 2),
+                     "--member", "-o", prefix]) == 0
+        assert main(["check", "-i", prefix + ".instance.json",
+                     "-p", prefix + ".point.json"]) == 0
+
     def test_gen_deterministic(self, tmp_path, capsys):
         args = ["gen", "--seed", "11", "--m", "1", "--n", "3"]
         assert main(args) == 0
@@ -556,9 +582,42 @@ class TestCliContract:
         assert time.perf_counter() - t0 < 1.0
         result = tmp_path / "result.json"
         result.write_text(capsys.readouterr().out)
+        e = F(1, 10 ** 20)
+        assert parse_witness(json.loads(result.read_text())) == (
+            px({0: 2}), px({0: -1, e: -2}))
         assert main(["verify", "-i", str(inst), "-p", str(p),
                      "-w", str(result)]) == 0
         assert json.loads(capsys.readouterr().out) == {"verified": True}
+
+    @pytest.mark.parametrize("grid", [10 ** 20, 10 ** 6])
+    def test_coarse_witness_on_fine_grid_exits_2_fast(self, tmp_path, capsys,
+                                                      grid):
+        # x_0 = 1 + t lies `grid` steps of the instance's grid t^(1/grid)
+        # from 0, so verifying A*x = b on that grid would build a list
+        # that long: the witness is charged there first, as the point is
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({
+            "A": [[{"q": grid, "num": [[0, "1"], [1, "1"]]},
+                   {"num": [[0, "1"]]}]],
+            "b": [{"num": [[0, "1"]]}]}))
+        p = tmp_path / "p.json"
+        p.write_text('{"v": ["0", "0"]}')
+        w = tmp_path / "w.json"
+        w.write_text(json.dumps({"x": [{"num": [[0, "1"], [1, "1"]]},
+                                       {"num": [[0, "1"]]}]}))
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            assert main(["verify", "-i", str(inst), "-p", str(p),
+                         "-w", str(w)]) == 2
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        # a list of 10^6 slots takes 8 MB of pointers alone
+        assert peak < 10 ** 6, peak
+        assert "input error: witness.x[0]:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["instance", "point", "witness"])
     def test_deeply_nested_json_exits_2(self, files, capsys, bad):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from troplift.gen import GenConfig, gen_member, gen_point, gen_random, perturb_point
-from troplift.lift import decide, verify_witness
+from troplift.lift import MAX_GRID_SPAN, decide, verify_witness
 from troplift.linalg import rref_solve
 from troplift.oracle import member_oracle
 from troplift.series import INF, PuiseuxFraction
@@ -37,6 +37,12 @@ class TestGenRandom:
             GenConfig(seed=0, m=3, n=2)
         with pytest.raises(ValueError):
             GenConfig(seed=0, m=1, n=2, exp_lo=2, exp_hi=-2)
+        # b = A*x reaches twice as far as the exponents
+        limit = MAX_GRID_SPAN // 2
+        GenConfig(seed=0, m=1, n=2, exp_lo=-limit, exp_hi=limit)
+        for lo, hi in ((-limit - 1, 0), (0, limit + 1), (-3, 10 ** 9)):
+            with pytest.raises(ValueError):
+                GenConfig(seed=0, m=1, n=2, exp_lo=lo, exp_hi=hi)
 
 
 class TestGenMember:

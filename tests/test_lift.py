@@ -193,7 +193,7 @@ class TestAttachUnknowns:
         red = RrefResult(pivot_cols=(0,), free_cols=(1,), rank=1,
                          consistent=True,
                          head=(((F(1),), (F(1), F(1)), (F(1),)),),
-                         q=1, scales=[1], inputs=None, forward=None)
+                         q=1, scales=[1], inputs=None)
         with pytest.raises(LiftInternalError):
             attach_unknowns(sub, red)
 

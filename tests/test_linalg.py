@@ -25,6 +25,7 @@ from troplift.linalg import (
     LiftInternalError,
     _clear_denominators,
     _forward,
+    _least_valuation_key,
     _lowest_orders,
     _near_zero_key,
     _on_grid,
@@ -332,14 +333,7 @@ class TestRrefSeriesField:
                 seen["depth>=2"] += len(head) > 2
             for den in (1, rng.randint(2, 6)):
                 ys = {f: F(rng.randint(-5, 5), den) for f in red.free_cols}
-                got = red.pivot_values(ys)
-                assert len(got) == red.rank
-                for x, row in zip(got, red.num):
-                    acc = row[n]
-                    for f, y in ys.items():
-                        acc = acc - row[f].scale(y)
-                    # x = acc / D, checked without a gcd
-                    assert x.num * red.den == acc * x.den
+                check_pivot_values(red, n, ys)
                 seen["rational_y"] += any(y.denominator > 1
                                           for y in ys.values())
             seen["grid>1"] += q > 1
@@ -428,9 +422,9 @@ def eliminate_matches_gauss_jordan(rows, ncols):
     """
     want = [_clear_denominators(row) for row in rows]
     want_cols = gauss_jordan_bareiss(want, ncols, poly_key, laurent_divexact)
+    assert not truncates(len(rows), ncols)
     red = rref_solve([row[:ncols] for row in rows],
                      [row[ncols] for row in rows])
-    assert red.forward is not None
     assert list(red.pivot_cols) == want_cols
     assert red.rank == len(want_cols)
     assert red.consistent == (not any(row[ncols]
@@ -632,21 +626,28 @@ def grid_terms(x, prec=INF):
             if v and low + i < prec}
 
 
+def check_pivot_values(red, n, ys):
+    """`pivot_values` at y against (N_rhs - sum_f N_f*y_f)/D from `num`."""
+    got = red.pivot_values(ys)
+    assert len(got) == red.rank
+    for x, row in zip(got, red.num):
+        acc = row[n]
+        for f, y in ys.items():
+            acc = acc - row[f].scale(y)
+        # x = acc / D, checked without a gcd
+        assert x.num * red.den == acc * x.den
+
+
 def exact_route(red, n):
     """The exact forward pass on red's pivot sequence, checked against red.
 
     The truncated route must give what the exact one gives on the same
     pivots: the rank (every pivot nonzero, rows past it zero in every
     column), consistency and `head`.  Each pivot must also have the least
-    valuation in its own row, which `head` relies on.  Returns red with
-    the exact forward rows set, so `pivot_values` reads them.
+    valuation in its own row, which `head` relies on.
     """
-    assert (red.inputs is None) != (red.forward is None)
-    if red.forward is not None:  # an exact solve: its own forward rows
-        rows, pivots = red.forward
-    else:
-        rows = list(red.inputs)
-        pivots = _forward(rows, plan=red.pivot_cols)[1]
+    rows = list(red.inputs)
+    pivots = _forward(rows, plan=red.pivot_cols)[1]
     assert all(pivots) and len(pivots) == red.rank
     for row in rows[red.rank:]:
         assert not any(row[:n])
@@ -655,17 +656,14 @@ def exact_route(red, n):
         assert all(row[j][0] >= p[0] for j in range(n)
                    if row[j] and j not in red.pivot_cols[:i])
     assert red.head == _lowest_orders(rows, list(red.pivot_cols), pivots)
-    return dataclasses.replace(red, inputs=None, forward=(rows, pivots))
 
 
 def check_against_exact_route(red, n, rng):
-    """`exact_route`, and equal pivot values at integer and rational y."""
-    ys_list = [{f: F(rng.randint(-5, 5), den) for f in red.free_cols}
-               for den in (1, rng.randint(2, 6))]
-    # after a truncated pass, from the [B | c] pass
-    values = [red.pivot_values(ys) for ys in ys_list]
-    exact = exact_route(red, n)
-    assert [exact.pivot_values(ys) for ys in ys_list] == values
+    """`exact_route`, and `check_pivot_values` at integer and rational y."""
+    exact_route(red, n)
+    for den in (1, rng.randint(2, 6)):
+        check_pivot_values(
+            red, n, {f: F(rng.randint(-5, 5), den) for f in red.free_cols})
 
 
 def truncates(m, n):
@@ -704,7 +702,7 @@ class TestTruncatedPass:
         monkeypatch.setattr(linalg, "_forward", spy)
         return seen
 
-    def test_planted_systems_match_the_exact_route(self):
+    def test_planted_systems_match_the_exact_route(self, attempts):
         rng = random.Random(131)
         seen = Counter()
         for n in range(12, 21):
@@ -718,12 +716,15 @@ class TestTruncatedPass:
                                                stripped.point)
                 # the instance on its own grid, and decide's slices of it
                 for sub in (inst, *part.subsystems):
+                    attempts.clear()
                     red = rref_solve(sub.matrix, sub.rhs)
+                    # the route of the forward pass that settled
+                    truncated = attempts[-1] is not None
                     m, width = len(sub.matrix), len(sub.matrix[0])
                     check_against_exact_route(red, width, rng)
-                    assert (red.forward is None) == truncates(m, width)
-                    seen["truncated"] += red.forward is None
-                    seen["exact"] += red.forward is not None
+                    assert truncated == truncates(m, width)
+                    seen["truncated"] += truncated
+                    seen["exact"] += not truncated
                     seen["grid>1"] += red.q > 1
         # square slices, left once their infinite columns are gone, and
         # slices with one free column take the exact route; the slices of
@@ -743,7 +744,6 @@ class TestTruncatedPass:
         red = rref_solve(rows, rhs)
         assert len(attempts) >= 2 and None not in attempts
         assert attempts == sorted(attempts)
-        assert red.forward is None
         assert min(len(h[-1]) for h in red.head) == 21
         check_against_exact_route(red, 8, rng)
 
@@ -759,7 +759,7 @@ class TestTruncatedPass:
                     for a in rows[0]]
         red = rref_solve(rows, rhs)
         assert len(attempts) >= 2 and None not in attempts
-        assert red.rank == 7 and red.forward is None
+        assert red.rank == 7
         check_against_exact_route(red, 9, rng)
 
     def test_singular_schur_complement_ends_exact(self, attempts):
@@ -849,12 +849,14 @@ def planted_system(seed, n, grid):
 
 
 class TestWitnessSolve:
-    """After a truncated solve, `pivot_values` eliminates [B | c] exactly
-    with its own pivots, by entry size; x = B^-1 c whatever their order."""
+    """Whichever way the forward pass ran, `pivot_values` eliminates
+    [B | c] exactly with its own pivots, by entry size; x = B^-1 c
+    whatever their order."""
 
     def test_size_ordered_solve_matches_both_routes(self, monkeypatch):
-        # pivot values at integer and rational y against the exact route's
-        # and against (N_rhs - sum_f N_f*y_f)/D from the full back pass
+        # after truncated solves: `head` and the rank against the exact
+        # forward pass's, and pivot values at integer and rational y
+        # against (N_rhs - sum_f N_f*y_f)/D from the full back pass
         orders = []
 
         def spy(rows, ncols=None, key=None, prec=None, plan=None):
@@ -869,18 +871,9 @@ class TestWitnessSolve:
         for n in range(12, 21):
             for grid in (1, 2, 3):
                 inst = planted_system(1700 + 10 * n + grid, n, grid)
+                assert truncates(n // 2, n)
                 red = rref_solve(inst.matrix, inst.rhs)
-                assert red.forward is None and red.rank == n // 2
-                for den in (1, rng.randint(2, 6)):
-                    ys = {f: F(rng.randint(-5, 5), den)
-                          for f in red.free_cols}
-                    got = red.pivot_values(ys)
-                    assert len(got) == red.rank
-                    for x, row in zip(got, red.num):
-                        acc = row[n]
-                        for f, y in ys.items():
-                            acc = acc - row[f].scale(y)
-                        assert x.num * red.den == acc * x.den
+                assert red.rank == n // 2
                 check_against_exact_route(red, n, rng)
                 assert all(sorted(cols) == list(range(red.rank))
                            for cols in orders)
@@ -896,14 +889,37 @@ class TestWitnessSolve:
         # [B | c] from inputs whose pivot block is singular: the second
         # pivot row repeats the first, so the pass ends below full rank
         inst = planted_system(1777, 12, 1)
+        assert truncates(6, 12)
         red = rref_solve(inst.matrix, inst.rhs)
-        assert red.forward is None
         ys = dict.fromkeys(red.free_cols, F(1))
         assert len(red.pivot_values(ys)) == red.rank
         broken = dataclasses.replace(
             red, inputs=[red.inputs[0], *red.inputs[:1], *red.inputs[2:]])
         with pytest.raises(LiftInternalError):
             broken.pivot_values(ys)
+
+    def test_exact_solve_takes_the_same_witness_route(self, monkeypatch):
+        # below the crossover the forward pass is exact, and the witness
+        # still comes from one size-ordered pass over [B | c]
+        calls = []
+
+        def spy(rows, ncols=None, key=None, prec=None, plan=None):
+            calls.append((key, prec, plan))
+            return _forward(rows, ncols, key, prec, plan)
+
+        monkeypatch.setattr(linalg, "_forward", spy)
+        rng = random.Random(173)
+        inst = planted_system(1790, 8, 2)
+        assert not truncates(4, 8)
+        red = rref_solve(inst.matrix, inst.rhs)
+        assert calls == [(_least_valuation_key, None, None)]
+        assert red.rank == 4
+        calls.clear()
+        ys = {f: F(rng.randint(-5, 5), 3) for f in red.free_cols}
+        check_pivot_values(red, 8, ys)
+        assert calls[0] == (_size_key, None, None)
+        # then `num` reruns the exact pass on the pivot sequence
+        assert calls[1:] == [(None, None, red.pivot_cols)]
 
     def test_exact_step_skips_the_eliminated_column(self, monkeypatch):
         # piv*f - f*piv in the pivot column is zero by construction: no
