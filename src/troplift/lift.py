@@ -559,13 +559,31 @@ def decide(inst, v):
     for j in sorted(stripped.fixed):
         witness.insert(j, stripped.fixed[j])
     witness = tuple(witness)
-    if not verify_witness(inst, v, witness):
+    if not _witness_holds(inst, as_point(v), witness):
         raise LiftInternalError("constructed witness failed verification")
     return Member(witness=witness, sweeps=tuple(sweeps))
 
 
 def verify_witness(inst, v, x):
     """Exact check: A*x = b and every coordinate has the requested valuation.
+
+    The check puts x on the instance's grid, so x is first charged as
+    `strip_infinite` charges the point, raising OversizedEntry at
+    "witness.x[j]" before any product is built.
+    """
+    v = as_point(v)
+    if len(v) != inst.n or len(x) != inst.n:
+        return False
+    x = tuple(_as_scalar(c) for c in x)
+    grids = [math.lcm(c.num.q, c.den.q) for c in x]
+    _charge_coordinates(inst, [(j, g, Fraction(_grid_reach(c, g), g))
+                               for j, (c, g) in enumerate(zip(x, grids))],
+                        "witness.x[%d]")
+    return _witness_holds(inst, v, x)
+
+
+def _witness_holds(inst, v, x):
+    """`verify_witness` uncharged, for the witness `decide` builds.
 
     Each row is tested as one polynomial identity over a common
     denominator C of its terms a_ij*x_j and -b_i: the product of every
@@ -575,10 +593,6 @@ def verify_witness(inst, v, x):
     sum is zero exactly when the sum of those is: no gcd and no division
     is needed.
     """
-    v = as_point(v)
-    if len(v) != inst.n or len(x) != inst.n:
-        return False
-    x = tuple(_as_scalar(c) for c in x)
     for row, b in zip(inst.matrix, inst.rhs):
         terms = [(a.num * xi.num, (a.den, xi.den))
                  for a, xi in zip(row, x) if a and xi]

@@ -24,6 +24,12 @@ times divisor equal the dividend digit by digit.  Short quotients,
 uncertified ones and dividends with coefficients of
 KRONECKER_DIVIDE_MAX_BITS bits or more, where packing is the slower,
 take a term-by-term loop instead.
+
+`laurent_gcd` keeps ratios in lowest terms.  Nearly every pair it meets
+is coprime, and `_coprime_at` proves that with one integer gcd of the two
+lists evaluated past their roots (the heuristic gcd of Char, Geddes and
+Gonnet, 1989, made exact by Cauchy's root bound); the primitive remainder
+sequence computes every other gcd.
 """
 
 from __future__ import annotations
@@ -467,42 +473,26 @@ def _primitive(p):
     return p
 
 
-# The largest prime below 2**30, so every residue is one 30-bit CPython
-# digit and a product f*y two.  Correctness does not rest on the choice:
-# degree 0 mod p proves coprimality whenever p spares a leading
-# coefficient, and every other case falls through to the primitive PRS.
-_GCD_PRIME = 1073741789
+def _coprime_at(a, b):
+    """True only if the descending integer lists a and b are coprime.
 
-
-def _modp_gcd_degree(a, b, p=_GCD_PRIME):
-    """Degree of gcd(a, b) mod p, or None when p is unusable for a bound.
-
-    As long as p keeps at least one leading coefficient alive, the true
-    gcd's degree is at most this value, so a result of 0 certifies
-    coprimality over the rationals.
+    Both are primitive, of degree >= 1, with nonzero ends; reversing both
+    keeps their gcd's degree.  Every root of a list p is below
+    R = 2 + max|p_i| // |lead p| in absolute value (Cauchy).  For R the
+    least over both lists and orientations and t = 2**k > R, a
+    nonconstant common factor H has |H(t)| > t - R and divides
+    g = gcd(a(t), b(t)) != 0, so g <= t - R leaves no room for H.
     """
-    if a[0] % p == 0 and b[0] % p == 0:
-        return None
-    big = _trim([c % p for c in a])
-    small = _trim([c % p for c in b])
-    if not big or not small:
-        return None
-    if len(big) < len(small):
-        big, small = small, big
-    while small:
-        inv = pow(small[0], p - 2, p)
-        r = big
-        ns = len(small)
-        while len(r) >= ns:
-            f = r[0] * inv % p
-            if f:
-                r = [(r[i] - f * small[i]) % p
-                     for i in range(1, ns)] + r[ns:]
-            else:
-                r = r[1:]
-            r = _trim(r)
-        big, small = small, r
-    return len(big) - 1
+    def bound(p):
+        return 2 + max(map(abs, p[1:])) // abs(p[0])
+
+    r = min(bound(a), bound(b))
+    rev_r = min(bound(a[::-1]), bound(b[::-1]))
+    if rev_r < r:
+        a, b, r = a[::-1], b[::-1], rev_r
+    k = r.bit_length() + 32  # t > 2**32 * R leaves g room below t - R
+    va, vb = (reduce(lambda v, c: (v << k) + c, p, 0) for p in (a, b))
+    return math.gcd(va, vb) + r <= 1 << k
 
 
 def _pseudo_rem_controlled(u, v):
@@ -535,11 +525,14 @@ def _pseudo_rem_controlled(u, v):
 
 
 def _int_poly_gcd(a, b):
-    """Primitive gcd of two descending integer lists with nonzero ends."""
+    """Primitive gcd of two descending integer lists with nonzero ends.
+
+    `_coprime_at` proves the common, coprime case; a primitive remainder
+    sequence computes the rest."""
     a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
         a, b = b, a
-    if len(b) > 1 and _modp_gcd_degree(a, b) == 0:
+    if len(b) > 1 and _coprime_at(a, b):
         return [1]
     while b:
         if len(b) == 1:

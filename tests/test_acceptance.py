@@ -6,6 +6,7 @@ for passing criteria).  Seeds are fixed; every check is exact.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import troplift
 from troplift.gen import GenConfig, gen_member, gen_point, gen_random, perturb_point
 from troplift.lift import (
     Instance,
@@ -235,11 +237,15 @@ print(json.dumps({"ms": (time.perf_counter() - t0) * 1000.0,
 
 
 def _probe_decide(n, seed, timeout_s):
+    # the probe imports the troplift these tests import, however it was found
+    src = os.path.dirname(os.path.dirname(troplift.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     try:
         proc = subprocess.run(
             [sys.executable, "-c", PROBE_SNIPPET, str(n), str(max(1, n // 2)),
              str(seed)],
-            capture_output=True, timeout=timeout_s, text=True)
+            capture_output=True, timeout=timeout_s, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
     except subprocess.TimeoutExpired:
         return None
     if proc.returncode != 0:

@@ -9,6 +9,8 @@ The four small systems exercised throughout:
 """
 
 import random
+import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +20,7 @@ from troplift.lift import (
     LiftInternalError,
     Member,
     NotMember,
+    OversizedEntry,
     STAGE_EMPTY_CLASS,
     STAGE_FAMILY_L,
     STAGE_INFEASIBLE,
@@ -34,6 +37,7 @@ from troplift.lift import (
     solve_and_sweep,
     strip_infinite,
     verify_witness,
+    _witness_holds,
 )
 from troplift.linalg import RrefResult, rref_solve
 from troplift.oracle import member_oracle
@@ -469,9 +473,9 @@ class TestVerifyWitness:
 
     def test_hostile_fine_grid_witness_answers_fast(self):
         # coordinates on t^(1/9973) against entries spanning t^-5..t^5 of
-        # grid 1: every product is a dense list of about 10^5 slots
-        import time
-
+        # grid 1: every product is a dense list of about 10^5 slots.  That
+        # is past MAX_GRID_SPAN, so the public check refuses the witness;
+        # the uncharged body `decide` uses still answers within 1 s.
         rows = [[px({-5: 2, 0: 1, 5: -3}), px({-4: 1, 3: 2}),
                  px({5: 7, -5: 1})],
                 [px({-5: 1, 5: 1}), px({0: 3}), px({-2: 1, 4: -1})]]
@@ -482,8 +486,28 @@ class TestVerifyWitness:
                              den),
              px({0: 1, e: 1}), px({0: 2, 3 * e: 1, 4: 1}))
         start = time.perf_counter()
-        assert not verify_witness(inst, (0, 0, 0), x)
+        assert not _witness_holds(inst, (0, 0, 0), x)
         assert time.perf_counter() - start < 1.0
+        with pytest.raises(OversizedEntry, match=r"^witness\.x\[0\] "):
+            verify_witness(inst, (0, 0, 0), x)
+
+    def test_coarse_witness_on_fine_grid_raises_fast(self):
+        # x_0 = 1 + t lies 10^20 steps of the instance's grid t^(1/10^20)
+        # from 0: the charge refuses it before any product spreads it there
+        e = F(1, 10 ** 20)
+        inst = Instance.from_rows([[px({0: 1, e: 1}), ONE]], [ONE])
+        x = (px({0: 1, 1: 1}), ONE)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(OversizedEntry, match=r"^witness\.x\[0\] "):
+                verify_witness(inst, (0, 0), x)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 10 ** 6, peak
 
 
 class TestMetamorphicProperties:

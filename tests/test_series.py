@@ -242,24 +242,52 @@ class TestCanonicalForm:
             assert scaled == [c / want[-1] for c in want]
             assert laurent_divexact(a, got) * got == a
 
-    P = series._GCD_PRIME
+    P = 1073741789  # a prime
 
-    @pytest.mark.parametrize("a, b, gcd, modp_degree", [
-        # a common root mod p, but coprime over the rationals
-        ({0: 1, 1: 1}, {0: 1 + P, 1: 1}, {0: 1}, 1),
-        # mod p the gcd has degree 2; over the rationals it is 1 + t
-        ({0: 2, 1: 3, 2: 1}, {0: 2 + P, 1: 3 + P, 2: 1}, {0: 1, 1: 1}, 2),
-        # p kills both leading coefficients, so p gives no degree bound
-        ({0: 1, 1: 1 + P, 2: P}, {0: 3, 1: 1 + 3 * P, 2: P}, {0: 1, 1: P},
-         None),
+    @pytest.mark.parametrize("a, b, gcd", [
+        # a common root mod P, but coprime over the rationals
+        ({0: 1, 1: 1}, {0: 1 + P, 1: 1}, {0: 1}),
+        # mod P the gcd has degree 2; over the rationals it is 1 + t
+        ({0: 2, 1: 3, 2: 1}, {0: 2 + P, 1: 3 + P, 2: 1}, {0: 1, 1: 1}),
+        # P divides both leading coefficients
+        ({0: 1, 1: 1 + P, 2: P}, {0: 3, 1: 1 + 3 * P, 2: P}, {0: 1, 1: P}),
     ], ids=["coprime", "common-factor", "leading-coefficients"])
-    def test_gcd_exact_at_unlucky_prime(self, a, b, gcd, modp_degree):
+    def test_gcd_exact_at_unlucky_prime(self, a, b, gcd):
         a = LaurentPolynomial.from_terms(a)
         b = LaurentPolynomial.from_terms(b)
-        got = series._modp_gcd_degree(a.coeffs[::-1], b.coeffs[::-1])
-        assert got == modp_degree
         assert laurent_gcd(a, b) == LaurentPolynomial.from_terms(gcd)
         assert laurent_gcd(b, a) == LaurentPolynomial.from_terms(gcd)
+
+    def test_coprime_pair_the_certificate_cannot_prove(self):
+        # t - 1 and (t - 2)t + 1, the reversed lists of x - 1 and
+        # x + t - 2, at t = 2**34 where the least root bound R = 2 puts
+        # the point: their gcd t - 1 is above t - R, so the certificate
+        # fails on a coprime pair and the remainder sequence answers
+        t = 1 << 34
+        a, b = [1, -1], [1, t - 2]
+        assert not series._coprime_at(a, b)
+        assert series._int_poly_gcd(a, b) == [1]
+        a = LaurentPolynomial.from_terms({0: -1, 1: 1})
+        b = LaurentPolynomial.from_terms({0: t - 2, 1: 1})
+        assert laurent_gcd(a, b) == laurent_gcd(b, a) == LaurentPolynomial.one()
+
+    def test_certificate_never_proves_a_common_factor_away(self):
+        # ends of +-1 around middles of up to 300 bits make most root
+        # bounds large, which puts the point t past the coefficients' width
+        rng = random.Random(29)
+
+        def draw(terms):
+            middle = [rng.choice((0, 1, -1)) * rng.getrandbits(300)
+                      for _ in range(terms - 2)]
+            return [rng.choice((1, -1))] + middle + [rng.choice((1, -1))]
+
+        for _ in range(200):
+            f = draw(rng.randint(2, 5))
+            a = convolve(draw(rng.randint(2, 8)), f)
+            b = convolve(draw(rng.randint(2, 8)), f)
+            assert not series._coprime_at(a, b)
+            assert not series._coprime_at(b, a)
+            assert len(series._int_poly_gcd(a, b)) >= len(f)
 
     def test_every_route_gives_one_canonical_form(self):
         # b a constant, a monomial or an exact divisor of a: the shapes in

@@ -9,7 +9,9 @@ and F a sympy polynomial with a nonzero constant term.  Every result of
 `grid_expand` give with sympy's power series of F_a/F_b
 (`sympy.polys.ring_series`).  sympy is a test-only dependency.  One seed
 draws wide operands, whose products' coefficients pass
-KRONECKER_DIVIDE_MAX_BITS.
+KRONECKER_DIVIDE_MAX_BITS, and one wide operands with small ends, whose
+root bounds are large in both orientations.  Every pair the coprimality
+certificate `_coprime_at` passes has a sympy gcd of degree 0.
 """
 
 import math
@@ -27,6 +29,7 @@ from sympy.polys.ring_series import (  # noqa: E402
 )
 from sympy.polys.rings import ring  # noqa: E402
 
+from troplift import series  # noqa: E402
 from troplift.series import (  # noqa: E402
     LaurentPolynomial,
     PuiseuxFraction,
@@ -39,18 +42,25 @@ from troplift.series import (  # noqa: E402
 S = sympy.Symbol("s")
 
 
-def draw(rng, wide=False):
+def draw(rng, shape=None):
     """A monomial, or up to 8 terms with gaps, negative exponents and
-    rational coefficients of up to 200 bits; if wide, 8 to 12 terms of
-    160 to 240 bits."""
+    rational coefficients of up to 200 bits; if "wide", 8 to 12 terms of
+    160 to 240 bits; if "small-ends", 8 to 12 integer terms of 160 to 240
+    bits between a lowest and a highest of at most 3."""
     q = rng.choice((1, 2, 3))
+    wide = shape is not None
     bits = rng.choice((160, 240) if wide else (3, 30, 200))
     low = rng.randint(-8, 4)
     count = rng.choice((8, 12) if wide else (1, 1, 2, 3, 5, 8))
-    return LaurentPolynomial.from_terms({
-        F(low + k, q): F(rng.randint(1, 1 << bits) * rng.choice((1, -1)),
-                         rng.choice((1, 1, 6, 1 << bits)))
-        for k in rng.sample(range(14), count)})
+    terms = {k: F(rng.randint(1, 1 << bits) * rng.choice((1, -1)),
+                  rng.choice((1, 1, 6, 1 << bits)))
+             for k in rng.sample(range(14), count)}
+    if shape == "small-ends":
+        terms = {k: c.numerator for k, c in terms.items()}
+        for k in (min(terms), max(terms)):
+            terms[k] = rng.choice((1, -1)) * rng.randint(1, 3)
+    return LaurentPolynomial.from_terms(
+        {F(low + k, q): c for k, c in terms.items()})
 
 
 def split(p, grid):
@@ -72,23 +82,24 @@ def normal(k, f):
                                domain="QQ")
 
 
-def pairs(seed, count, wide):
+def pairs(seed, count, shape):
     rng = random.Random(seed)
     for _ in range(count):
-        a, b = draw(rng, wide), draw(rng, wide)
+        a, b = draw(rng, shape), draw(rng, shape)
         if rng.random() < 0.5:  # plant a common factor
-            c = draw(rng, wide)
+            c = draw(rng, shape)
             a, b = a * c, b * c
         yield a, b
 
 
-@pytest.mark.parametrize("seed, count, wide", [
-    pytest.param(101, 40, False, id="101"),
-    pytest.param(202, 40, False, id="202"),
-    pytest.param(303, 40, False, id="303"),
-    pytest.param(404, 12, True, id="404-wide")])
-def test_kernels_match_sympy(seed, count, wide):
-    for a, b in pairs(seed, count, wide):
+@pytest.mark.parametrize("seed, count, shape", [
+    pytest.param(101, 40, None, id="101"),
+    pytest.param(202, 40, None, id="202"),
+    pytest.param(303, 40, None, id="303"),
+    pytest.param(404, 12, "wide", id="404-wide"),
+    pytest.param(505, 12, "small-ends", id="505-small-ends")])
+def test_kernels_match_sympy(seed, count, shape):
+    for a, b in pairs(seed, count, shape):
         grid = math.lcm(a.q, b.q)
         (ka, fa), (kb, fb) = split(a, grid), split(b, grid)
         low = min(ka, kb)
@@ -117,6 +128,27 @@ def test_kernels_match_sympy(seed, count, wide):
         assert sympy.gcd(fn, fd).degree() == 0
 
 
+@pytest.mark.parametrize("seed, shape", [
+    pytest.param(606, None, id="606"),
+    pytest.param(707, "wide", id="707-wide"),
+    pytest.param(808, "small-ends", id="808-small-ends")])
+def test_coprime_certificate_matches_sympy(seed, shape):
+    # half the pairs share a planted factor; the certificate may fail on a
+    # coprime pair (the remainder sequence then answers), never pass a
+    # pair with a common factor
+    proven = 0
+    for a, b in pairs(seed, 60, shape):
+        grid = math.lcm(a.q, b.q)
+        la, lb = (p._on_grid(grid)[1][::-1] for p in (a, b))
+        if len(la) < 2 or len(lb) < 2:
+            continue
+        if series._coprime_at(la, lb):
+            (_, fa), (_, fb) = split(a, grid), split(b, grid)
+            assert sympy.gcd(fa, fb).degree() == 0
+            proven += 1
+    assert proven >= 10
+
+
 def sympy_expansion(fa, fb, count):
     """Coefficients of s^0..s^(count-1) in fa/fb, fb(0) != 0."""
     r, s = ring("s", sympy.QQ)
@@ -129,7 +161,7 @@ def sympy_expansion(fa, fb, count):
 @pytest.mark.parametrize("seed", [101, 202, 303])
 def test_expansions_match_sympy(seed):
     seen = Counter()
-    for a, b in pairs(seed, 40, False):
+    for a, b in pairs(seed, 40, None):
         grid = math.lcm(a.q, b.q)
         (ka, fa), (kb, fb) = split(a, grid), split(b, grid)
         want = sympy_expansion(fa, fb, 9)
