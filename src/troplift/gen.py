@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from troplift.lift import MAX_GRID_SPAN, Instance
+from troplift.lift import MAX_GRID_SPAN, Instance, matvec
 from troplift.series import INF, LaurentPolynomial, PuiseuxFraction
 
 __all__ = ["GenConfig", "gen_random", "gen_member", "gen_point", "perturb_point"]
@@ -86,14 +86,7 @@ def gen_member(cfg):
                for _ in range(cfg.n)]
     if not any(planted):
         planted[rng.randrange(cfg.n)] = _scalar(rng, cfg, min_terms=1)
-    rhs = []
-    for row in rows:
-        acc = PuiseuxFraction.zero()
-        for a, xi in zip(row, planted):
-            if a and xi:
-                acc = acc + a * xi
-        rhs.append(acc)
-    inst = Instance(rows, tuple(rhs))
+    inst = Instance(rows, matvec(Instance(rows, ()), planted))
     v = tuple(x.valuation() for x in planted)
     return inst, v, tuple(planted)
 

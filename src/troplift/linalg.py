@@ -6,9 +6,9 @@ elimination", Math. Comp. 22, 1968; Nakos, Turner and Williams,
 "Fraction-free algorithms for linear and polynomial equations", SIGSAM
 Bull. 31(3), 1997).  Forward elimination (`_forward`) updates only the
 rows below each pivot, by cross-multiplication divided exactly by the
-previous pivot; back substitution (`_back`) then brings each earlier
-pivot row to the last pivot D, one column at a time (`_back_column`),
-dividing exactly by the row's own pivot.  Every entry either pass divides
+previous pivot; back substitution (`_back`) then brings every non-pivot
+column of the pivot rows to the last pivot D, one column at a time,
+dividing exactly by each row's own pivot.  Every entry either pass divides
 out is a minor of the input, so every division is exact.  The kernel runs
 on grid triples: each row is cleared of its denominators, scaled to
 integer contents and put on the system's common grid t^(1/Q), where an
@@ -36,7 +36,8 @@ t, a few orders above its valuation, and each quotient is the low part
 of the exact one, one checked integer divmod per term (the truncation
 idea of Moenck and Carter, "Approximate algorithms to derive exact
 solutions to systems of linear equations", EUROSAM 1979).  Where the
-kept orders do not settle a pivot or a read, the pass reruns with more.
+kept orders do not settle a pivot or a read, the pass reruns with twice
+the orders.
 Once the free coordinates are fixed, one exact fraction-free pass over
 [B | c], the pivot block and one column, gives the pivot coordinates
 (`RrefResult.pivot_values`), whichever way the forward pass ran.
@@ -186,7 +187,7 @@ class RrefResult:
                                     % (self.rank, len(cols)))
         if not pivots:
             return ()
-        column = _back_column(rows, cols, pivots, [row[-1] for row in rows])
+        column = _back(rows, cols, pivots, self.rank + 1)[self.rank]
         d = from_grid(pivots[-1], self.q, self.scales[0])
         s = self.scales[0] * scale
         values = [None] * self.rank
@@ -198,13 +199,20 @@ class RrefResult:
     def num(self):
         rows = list(self.inputs)
         pivots = _forward(rows, plan=self.pivot_cols)[1]
-        _back(rows, self.pivot_cols, pivots)
+        width = len(self.pivot_cols) + len(self.free_cols) + 1
+        columns = _back(rows, self.pivot_cols, pivots, width)
+        for i, c in enumerate(self.pivot_cols):
+            row = [None] * width
+            row[c] = pivots[-1]
+            for f, column in columns.items():
+                row[f] = column[i]
+            rows[i] = row
         return tuple(tuple(from_grid(x, self.q, s) for x in row)
                      for row, s in zip(rows, self.scales))
 
     @cached_property
     def den(self):
-        # the full back pass leaves D in every pivot row's pivot column
+        # `num` holds D in every pivot row's pivot column
         return (self.num[0][self.pivot_cols[0]] if self.rank
                 else LaurentPolynomial.one())
 
@@ -268,7 +276,8 @@ def _forward(rows, ncols=None, key=None, prec=None, plan=None):
     term below its precision.  An entry with none may be zero or not;
     when one of those in the search has a precision not above the least
     valuation found, that valuation might not be the least, and the pass
-    raises `_ShortPrecision`.
+    raises `_ShortPrecision`; `rref_solve` then reruns it with twice the
+    precision.
 
     Returns the pivot columns, the pivots D_0..D_(r-1), the row order
     and the entries' precisions (None when exact): row i now holds U[i],
@@ -306,8 +315,7 @@ def _forward(rows, ncols=None, key=None, prec=None, plan=None):
             if floor != INF:
                 low = INF if best is None else rows[best[2]][best[1]][0]
                 if low >= floor:
-                    raise _ShortPrecision(0 if best is None
-                                          else low - floor + 1)
+                    raise _ShortPrecision
             if best is None:
                 break
             _, c, r = best
@@ -339,14 +347,7 @@ def _forward(rows, ncols=None, key=None, prec=None, plan=None):
 
 
 class _ShortPrecision(Exception):
-    """The truncated pass cannot settle a read at its precision.
-
-    `by` is how many more orders would settle it, or 0 when unknown.
-    """
-
-    def __init__(self, by):
-        super().__init__(by)
-        self.by = by
+    """The truncated pass cannot settle a read at its precision."""
 
 
 def _val(x, p):
@@ -386,50 +387,35 @@ def _truncated_step(row, precs, prow, pprecs, c, prev, dprec):
     return out, outp
 
 
-def _back_column(rows, pivot_cols, pivots, w):
-    """Back-substitute one column w (an entry per pivot row) fraction-free.
+def _back(rows, pivot_cols, pivots, width):
+    """Back-substitute fraction-free the rows `_forward` left.
 
-    With rank r and D = D_(r-1), returns N_w with N_w[r-1] = w[r-1] and
-    N_w[i] = (D*w[i] - sum_(j>i) U[i][c_j]*N_w[j]) / D_i, so N_w/D solves
-    the pivot block's triangular system U_piv * x = w.  For w a column of
-    the forward pass, N_w[i] is the minor of the pivot rows in the pivot
-    columns with c_i replaced by that column (Cramer's rule), so every
-    division is exact; for an integer combination of such columns, so is
-    each one.
+    With rank r and D = D_(r-1), returns {f: N_f} for every column f below
+    `width` that is not a pivot column, N_f holding one entry per pivot
+    row: N_f[r-1] = U[r-1][f] and N_f[i] = (D*U[i][f] - sum_(j>i)
+    U[i][c_j]*N_f[j]) / D_i, so N_f/D solves the pivot block's triangular
+    system U_piv * x = U[:, f], and N[i][f]/D is pivot row i's reduced
+    entry in column f.  N_f[i] is the minor of the pivot rows in the pivot
+    columns with c_i replaced by column f (Cramer's rule), so every
+    division is exact; for an integer combination of forward-pass
+    columns, so is each one.
     """
     rank = len(pivot_cols)
-    out = list(w)
-    for i in range(rank - 2, -1, -1):
-        row = rows[i]
-        acc = grid_mul(pivots[-1], w[i])
-        for j in range(i + 1, rank):
-            u = row[pivot_cols[j]]
-            if u and out[j]:
-                acc = grid_sub(acc, grid_mul(u, out[j]))
-        out[i] = grid_divexact(acc, pivots[i]) if acc else acc
-    return out
-
-
-def _back(rows, pivot_cols, pivots):
-    """The full back pass, in place on the rows `_forward` left.
-
-    Every pivot row becomes D in its own pivot column, zero in the other
-    pivot columns and N[i][f] in each other column f (`_back_column`), so
-    its reduced entries are N[i][j]/D.  Rows past the rank are untouched.
-    """
-    rank = len(pivot_cols)
-    if rank < 2:
-        return
-    width = len(rows[0])
-    columns = {f: _back_column(rows, pivot_cols, pivots,
-                               [row[f] for row in rows[:rank]])
-               for f in range(width) if f not in pivot_cols}
-    for i in range(rank - 1):
-        new = [None] * width
-        new[pivot_cols[i]] = pivots[-1]
-        for f, column in columns.items():
-            new[f] = column[i]
-        rows[i] = new
+    columns = {}
+    for f in range(width):
+        if f in pivot_cols:
+            continue
+        out = [row[f] for row in rows[:rank]]
+        for i in range(rank - 2, -1, -1):
+            row = rows[i]
+            acc = grid_mul(pivots[-1], row[f])
+            for j in range(i + 1, rank):
+                u = row[pivot_cols[j]]
+                if u and out[j]:
+                    acc = grid_sub(acc, grid_mul(u, out[j]))
+            out[i] = grid_divexact(acc, pivots[i]) if acc else acc
+        columns[f] = out
+    return columns
 
 
 def _grid_scale(x, k):
@@ -470,12 +456,11 @@ def _lowest_orders(rows, pivot_cols, pivots, precs=None):
                             for row, p in zip(rows, pivots) if row[j]])
               for j in others}
     top = max(depths.values(), default=0)
-    if precs is not None:
-        short = max(max(p[0] + top + 1 - min(ps[c] for c in pivot_cols[i:]),
-                        p[0] + 1 - min(ps[j] for j in others))
-                    for i, (ps, p) in enumerate(zip(precs, pivots)))
-        if short > 0:
-            raise _ShortPrecision(short)
+    if precs is not None and any(
+            min(ps[c] for c in pivot_cols[i:]) <= p[0] + top
+            or min(ps[j] for j in others) <= p[0]
+            for i, (ps, p) in enumerate(zip(precs, pivots))):
+        raise _ShortPrecision
     one, zero = (Fraction(1),), (Fraction(0),)
     head = [None] * rank
     for i in range(rank - 1, -1, -1):
@@ -502,7 +487,11 @@ def _lowest_orders(rows, pivot_cols, pivots, precs=None):
 # Pivot keys on a triple (low, content, coefficients); on one grid, low
 # orders valuations.  The valuation keys break ties by the sparsest entry,
 # to limit fill-in.  The size key, for the [B | c] pass, where any pivot
-# order gives the same x, ranks slots, then coefficient bits.
+# order gives the same x, ranks slots, then coefficient bits.  Any pivot
+# order gives `kernel_basis` the same kernel too, but pivoting it by the
+# size key cost the perfbench `oracle-xval` workload 3-5% of its cases per
+# second (slower in 3 of 4 alternating 10-s pairs, 164/166/159/173 against
+# 173/170/171/168), so it keeps the least |valuation| key.
 
 def _least_valuation_key(x):
     low, _, coeffs = x
@@ -569,9 +558,8 @@ TRUNCATE_MIN_STEPS = 5
 TRUNCATE_MIN_FREE = 2
 
 # The truncated pass first keeps TRUNCATE_FIRST_ORDERS orders of t above
-# each entry's valuation, and raises that by at least as many again,
-# then by twice the last raise, until it settles every read.  The
-# perfbench planted systems settle at 2-3 orders and the criterion-7
+# each entry's valuation, and doubles that until it settles every read.
+# The perfbench planted systems settle at 2-3 orders and the criterion-7
 # instances (n = 12..40) at 2-8; a rerun costs one more truncated pass.
 TRUNCATE_FIRST_ORDERS = 4
 
@@ -585,7 +573,7 @@ def _consistent(tail, precs):
     if any(tail):
         return False
     if precs and any(p != INF for p in precs):
-        raise _ShortPrecision(0)
+        raise _ShortPrecision
     return True
 
 
@@ -596,11 +584,11 @@ def rref_solve(matrix, rhs):
     valuation >= 0.  On systems of TRUNCATE_MIN_STEPS elimination steps or
     more, with TRUNCATE_MIN_FREE columns more than rows, the forward pass
     keeps TRUNCATE_FIRST_ORDERS orders of t above each entry's valuation
-    (see `_forward`), raised until it settles the pivots, the consistency
+    (see `_forward`), doubled until it settles the pivots, the consistency
     and every order `head` reads; once that would keep more orders than
     any minor spans, the exact pass runs instead, so the loop ends.  A
-    truncated quotient is the low part of the
-    exact one, so `head` is the exact pass's on the same pivot sequence.
+    truncated quotient is the low part of the exact one, so `head` is the
+    exact pass's on the same pivot sequence.
     Below the crossover the pass is exact.  Either way the result keeps
     the input rows in pivot order, and the exact passes the witness and
     the reduced entries need run from them once `pivot_values`, `num` or
@@ -613,7 +601,7 @@ def rref_solve(matrix, rhs):
     if len(rhs) != m:
         raise ValueError("rhs length does not match row count")
     grid, q, scales = _on_grid([[*row, b] for row, b in zip(matrix, rhs)])
-    prec = step = TRUNCATE_FIRST_ORDERS
+    prec = TRUNCATE_FIRST_ORDERS
     # no minor, nor a product of two, spans this many orders: a truncated
     # pass keeping them would do the exact pass's work
     ends = [[e for x in row if x for e in (x[0], x[0] + len(x[2]) - 1)]
@@ -632,9 +620,8 @@ def rref_solve(matrix, rhs):
                                      precs and [p[n] for p in precs[rank:]])
             head = _lowest_orders(rows, pivot_cols, pivots, precs)
             break
-        except _ShortPrecision as short:
-            prec += max(short.by, step)
-            step *= 2
+        except _ShortPrecision:
+            prec *= 2
             if prec > span:
                 prec = None
     s = math.prod(scales[k] for k in order[:rank])
@@ -666,19 +653,17 @@ def kernel_basis(matrix, ncols=None):
     n = len(matrix[0]) if matrix else ncols
     rows, q, scales = _on_grid(matrix)
     pivot_cols, pivots, order, _ = _forward(rows, n, _near_zero_key)
-    _back(rows, pivot_cols, pivots)
+    columns = _back(rows, pivot_cols, pivots, n)
     # every pivot row now carries scale S, the product of their own scales
     s = math.prod(scales[k] for k in order[:len(pivot_cols)])
     d = PuiseuxFraction(from_grid(pivots[-1], q, s) if pivots
                         else LaurentPolynomial.one())
     zero = PuiseuxFraction.zero()
     basis = []
-    for f in range(n):
-        if f in pivot_cols:
-            continue
+    for f, column in columns.items():
         vec = [zero] * n
         vec[f] = d
-        for row, c in zip(rows, pivot_cols):
-            vec[c] = PuiseuxFraction(-from_grid(row[f], q, s))
+        for x, c in zip(column, pivot_cols):
+            vec[c] = PuiseuxFraction(-from_grid(x, q, s))
         basis.append(tuple(vec))
     return basis

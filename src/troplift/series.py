@@ -479,9 +479,11 @@ def _coprime_at(a, b):
     Both are primitive, of degree >= 1, with nonzero ends; reversing both
     keeps their gcd's degree.  Every root of a list p is below
     R = 2 + max|p_i| // |lead p| in absolute value (Cauchy).  For R the
-    least over both lists and orientations and t = 2**k > R, a
+    least over both lists and orientations and an integer t > R + 1, a
     nonconstant common factor H has |H(t)| > t - R and divides
-    g = gcd(a(t), b(t)) != 0, so g <= t - R leaves no room for H.
+    g = gcd(a(t), b(t)) != 0, so g <= t - R leaves no room for H.  The
+    point is t = 2**k + 1, odd, so lists whose end coefficients share
+    many factors of two do not share them at t.
     """
     def bound(p):
         return 2 + max(map(abs, p[1:])) // abs(p[0])
@@ -491,8 +493,8 @@ def _coprime_at(a, b):
     if rev_r < r:
         a, b, r = a[::-1], b[::-1], rev_r
     k = r.bit_length() + 32  # t > 2**32 * R leaves g room below t - R
-    va, vb = (reduce(lambda v, c: (v << k) + c, p, 0) for p in (a, b))
-    return math.gcd(va, vb) + r <= 1 << k
+    va, vb = (reduce(lambda v, c: (v << k) + v + c, p, 0) for p in (a, b))
+    return math.gcd(va, vb) + r <= (1 << k) + 1
 
 
 def _pseudo_rem_controlled(u, v):

@@ -260,10 +260,10 @@ class TestCanonicalForm:
 
     def test_coprime_pair_the_certificate_cannot_prove(self):
         # t - 1 and (t - 2)t + 1, the reversed lists of x - 1 and
-        # x + t - 2, at t = 2**34 where the least root bound R = 2 puts
+        # x + t - 2, at t = 2**34 + 1 where the least root bound R = 2 puts
         # the point: their gcd t - 1 is above t - R, so the certificate
         # fails on a coprime pair and the remainder sequence answers
-        t = 1 << 34
+        t = (1 << 34) + 1
         a, b = [1, -1], [1, t - 2]
         assert not series._coprime_at(a, b)
         assert series._int_poly_gcd(a, b) == [1]

@@ -10,8 +10,9 @@ and F a sympy polynomial with a nonzero constant term.  Every result of
 (`sympy.polys.ring_series`).  sympy is a test-only dependency.  One seed
 draws wide operands, whose products' coefficients pass
 KRONECKER_DIVIDE_MAX_BITS, and one wide operands with small ends, whose
-root bounds are large in both orientations.  Every pair the coprimality
-certificate `_coprime_at` passes has a sympy gcd of degree 0.
+root bounds are large in both orientations.  The coprimality
+certificate `_coprime_at` passes exactly the pairs whose sympy gcd has
+degree 0.
 """
 
 import math
@@ -133,20 +134,20 @@ def test_kernels_match_sympy(seed, count, shape):
     pytest.param(707, "wide", id="707-wide"),
     pytest.param(808, "small-ends", id="808-small-ends")])
 def test_coprime_certificate_matches_sympy(seed, shape):
-    # half the pairs share a planted factor; the certificate may fail on a
-    # coprime pair (the remainder sequence then answers), never pass a
-    # pair with a common factor
-    proven = 0
+    # half the pairs share a planted factor; the certificate proves every
+    # coprime pair, wide ends with many factors of two included, and
+    # passes no pair with a common factor
+    coprime = 0
     for a, b in pairs(seed, 60, shape):
         grid = math.lcm(a.q, b.q)
         la, lb = (p._on_grid(grid)[1][::-1] for p in (a, b))
         if len(la) < 2 or len(lb) < 2:
             continue
-        if series._coprime_at(la, lb):
-            (_, fa), (_, fb) = split(a, grid), split(b, grid)
-            assert sympy.gcd(fa, fb).degree() == 0
-            proven += 1
-    assert proven >= 10
+        (_, fa), (_, fb) = split(a, grid), split(b, grid)
+        is_coprime = sympy.gcd(fa, fb).degree() == 0
+        assert series._coprime_at(la, lb) == is_coprime
+        coprime += is_coprime
+    assert coprime >= 10
 
 
 def sympy_expansion(fa, fb, count):
